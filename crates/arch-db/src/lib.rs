@@ -15,7 +15,7 @@
 //!   shape as Fig. 1 and Fig. 2.
 //!
 //! The calibration targets and their provenance are documented in
-//! `EXPERIMENTS.md`.
+//! [`machine_model`] and guarded by `tests/paper_reproduction.rs`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,9 +1,9 @@
 //! Data generators for the paper's tables and figures.
 //!
 //! Each public function regenerates the numbers behind one table or figure;
-//! the binaries in `src/bin/` only format them.  The experiment ↔ module map
-//! lives in `DESIGN.md`; paper-vs-reproduced values are recorded in
-//! `EXPERIMENTS.md`.
+//! the binaries in `src/bin/` only format them.  The binary ↔ table/figure
+//! map is in the README ("Regenerating the paper's tables and figures");
+//! `tests/paper_reproduction.rs` asserts the paper-vs-reproduced values.
 
 use arch_db::{calibrated_models, MachineModel};
 use fpga_sim::{

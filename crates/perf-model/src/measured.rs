@@ -4,7 +4,7 @@
 //! These values serve two purposes in the reproduction:
 //!
 //! 1. they are the *reference data* every regenerated table/figure is
-//!    compared against (see `EXPERIMENTS.md`), and
+//!    compared against (see `tests/paper_reproduction.rs`), and
 //! 2. they provide the empirically measured base resource utilisation
 //!    `R_base(N)` that the paper's own projection methodology reuses
 //!    ("the base resource utilization … can be empirically measured for each
@@ -13,7 +13,7 @@
 //! Four percentage values in the scanned table are obvious OCR glitches
 //! (logic 12% for N=7, DSP 1% for N=9, logic 10% for N=13, logic 171% for
 //! N=15); they are restored to the physically consistent values 72%, 21%,
-//! 70% and 71% and the correction is documented here and in `EXPERIMENTS.md`.
+//! 70% and 71% and the correction is documented here.
 
 use serde::{Deserialize, Serialize};
 

@@ -219,7 +219,8 @@ mod tests {
         );
         // Paper: 2.1, 3.0, 3.97 TFLOP/s.  Our calibrated FPU cost makes the
         // highest degrees DSP-bound slightly earlier, so we accept >= 2 TF at
-        // N = 7 and >= 2.8 TF at N >= 11 (documented in EXPERIMENTS.md).
+        // N = 7 and >= 2.8 TF at N >= 11 (`tests/paper_reproduction.rs`
+        // guards the Section V-D projections end to end).
         assert!(ideal.for_degree(7).unwrap().prediction.gflops > 2_000.0);
         assert!(ideal.for_degree(11).unwrap().prediction.gflops > 2_800.0);
         assert!(ideal.for_degree(15).unwrap().prediction.gflops > 2_800.0);

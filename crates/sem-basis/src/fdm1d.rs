@@ -1,5 +1,4 @@
-//! One-dimensional fast-diagonalization (FDM) factors on overlapping
-//! element patches.
+//! One-dimensional fast-diagonalization (FDM) factors on element patches.
 //!
 //! The element-local Poisson operator on an undeformed brick factorises into
 //! Kronecker sums of the 1-D stiffness/mass pair, so its inverse is three
@@ -10,20 +9,20 @@
 //! ```
 //!
 //! is solved — Lottes & Fischer's fast diagonalisation method, the local
-//! solve of Nek5000's Schwarz smoother.  The local subdomain is the element
-//! closure, optionally extended by [`fdm_overlap`] ghost layers into each
-//! neighbour: the 1-D operators are the globally assembled operators
-//! restricted to the patch nodes (this element's stiffness/mass plus the
-//! neighbouring elements' corner blocks), with homogeneous Dirichlet just
-//! outside the patch.  Assembling the interface entries from both sides is
-//! what keeps the patch operators definite and the Schwarz sum strong on
-//! the element faces, where a purely local (unassembled Neumann) block
-//! method stalls on its constant modes.
+//! solve of Nek5000's Schwarz smoother.  The patch is the element closure
+//! (neighbouring patches overlap only on the shared interface nodes): the
+//! 1-D operators are the globally assembled operators restricted to the
+//! element's nodes (its own stiffness/mass plus the neighbours' corner
+//! entries on each interface node), with homogeneous Dirichlet just outside
+//! the patch.  Assembling the interface entries from both sides is what
+//! keeps the patch operators definite and the Schwarz sum strong on the
+//! element faces, where a purely local (unassembled Neumann) block method
+//! stalls on its constant modes.
 //!
-//! Domain-boundary ends have no neighbour: the ghost node and the Dirichlet
-//! boundary node are removed from the eigenproblem instead.  Every patch
-//! operator is therefore symmetric positive *definite* — the Neumann
-//! constant mode never appears.  Dropped nodes are embedded back as zero
+//! Domain-boundary ends have no neighbour: the Dirichlet boundary node is
+//! removed from the eigenproblem instead.  Every patch operator is
+//! therefore symmetric positive *definite* — the Neumann constant mode
+//! never appears.  Dropped nodes are embedded back as zero
 //! eigenvector columns with an infinite eigenvalue, so the 3-D inverse
 //! `1 / (λˣᵢ + λʸⱼ + λᶻₖ)` is zero for them without any special casing.
 //!
@@ -33,24 +32,6 @@
 use crate::eigen::generalized_eigen_diag;
 use crate::matrix::DenseMatrix;
 use crate::operators1d::{mass_matrix_1d, stiffness_matrix_1d};
-
-/// Ghost-layer depth (GLL nodes extended into each neighbour) used for the
-/// FDM patches at a given polynomial degree.  The default is zero: patches
-/// are element closures, which already overlap on the shared interface
-/// nodes (minimal-overlap Schwarz) with the interface conditions assembled
-/// from both sides.  Measured against ghost depths 1–3 on the standard 4³
-/// problems, deeper overlap buys at most a couple of CG iterations while
-/// inflating the per-apply tensor work by `((N+1+2·overlap)/(N+1))⁴` — a
-/// net loss end-to-end — so the extension is kept as an experiment knob
-/// (`FDM_OVERLAP`), clamped so a patch never swallows a whole neighbour.
-#[must_use]
-pub fn fdm_overlap(degree: usize) -> usize {
-    std::env::var("FDM_OVERLAP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-        .min(degree)
-}
 
 /// Coarse polynomial degree of the two-level FDM preconditioner for a fine
 /// degree: degree 2 (vertices + edge/face/centre midpoints) once the fine
@@ -89,14 +70,11 @@ impl Fdm1dBoundary {
 
 /// The fast-diagonalization factors of one direction of one element class:
 /// eigenvectors `S` (and transpose) of the generalized 1-D problem on the
-/// extended patch, plus the eigenvalues, embedded at full patch size
-/// `N + 1 + 2·overlap` (ghost layers, the element's `N + 1` nodes, ghost
-/// layers — see [`fdm_overlap`]).
+/// element patch, plus the eigenvalues, embedded at the full `N + 1` nodes.
 #[derive(Debug, Clone)]
 pub struct Fdm1d {
-    /// Eigenvector matrix `S`, row-major, patch-sized.  Rows and columns
-    /// corresponding to removed nodes (ghosts outside the domain, Dirichlet
-    /// boundary nodes) are zero.
+    /// Eigenvector matrix `S`, row-major, `(N + 1)²`.  Rows and columns
+    /// corresponding to removed (Dirichlet boundary) nodes are zero.
     pub s: DenseMatrix,
     /// `Sᵀ`, row-major (precomputed: the apply contracts with both).
     pub st: DenseMatrix,
@@ -106,75 +84,37 @@ pub struct Fdm1d {
 }
 
 impl Fdm1d {
-    /// Compute the overlapping-patch factors for polynomial degree `degree`
-    /// on an element of length `length` with the given endpoint conditions.
+    /// Compute the element-patch factors for polynomial degree `degree` on
+    /// an element of length `length` with the given endpoint conditions.
     ///
     /// # Panics
     /// Panics if the length is not positive or the restriction removes every
     /// node (degree 1 with both endpoints Dirichlet leaves nothing).
     #[must_use]
     pub fn new(degree: usize, length: f64, boundary: Fdm1dBoundary) -> Self {
-        Self::with_overlap(degree, length, boundary, fdm_overlap(degree))
-    }
-
-    /// [`Fdm1d::new`] with an explicit ghost-layer depth (clamped to the
-    /// degree so a patch never swallows a whole neighbour).
-    ///
-    /// # Panics
-    /// Panics if the length is not positive or the restriction removes every
-    /// node.
-    #[must_use]
-    pub fn with_overlap(
-        degree: usize,
-        length: f64,
-        boundary: Fdm1dBoundary,
-        overlap: usize,
-    ) -> Self {
         let n = degree + 1;
-        let o = overlap.min(degree);
-        let m = n + 2 * o;
         let k = stiffness_matrix_1d(degree, length);
         let b = mass_matrix_1d(degree, length);
 
-        // Patch index p: 0..o = low ghost layers, o..o+n = this element's
-        // nodes, o+n.. = high ghost layers.  Assemble this element plus the
-        // neighbours' corner blocks (neighbours are congruent, so their
-        // operators are this element's): the patch operator is exactly the
-        // globally assembled 1-D operator restricted to the patch nodes.
-        let mut kp = DenseMatrix::zeros(m, m);
-        let mut bp = vec![0.0_f64; m];
-        for i in 0..n {
-            for j in 0..n {
-                kp[(i + o, j + o)] += k[(i, j)];
-            }
-            bp[i + o] += b[(i, i)];
-        }
+        // This element's operator plus the congruent neighbours' corner
+        // entries on each interface node: exactly the globally assembled
+        // 1-D operator restricted to the element's nodes.
+        let mut kp = k.clone();
+        let mut bp: Vec<f64> = (0..n).map(|i| b[(i, i)]).collect();
         if !boundary.dirichlet_lo {
-            // Left neighbour's last o + 1 nodes are patch nodes 0..=o.
-            for t in 0..=o {
-                for u in 0..=o {
-                    kp[(t, u)] += k[(n - 1 - o + t, n - 1 - o + u)];
-                }
-                bp[t] += b[(n - 1 - o + t, n - 1 - o + t)];
-            }
+            kp[(0, 0)] += k[(n - 1, n - 1)];
+            bp[0] += b[(n - 1, n - 1)];
         }
         if !boundary.dirichlet_hi {
-            // Right neighbour's first o + 1 nodes are patch nodes m-1-o..m.
-            for t in 0..=o {
-                for u in 0..=o {
-                    kp[(m - 1 - o + t, m - 1 - o + u)] += k[(t, u)];
-                }
-                bp[m - 1 - o + t] += b[(t, t)];
-            }
+            kp[(n - 1, n - 1)] += k[(0, 0)];
+            bp[n - 1] += b[(0, 0)];
         }
 
-        // Removed nodes: the ghost layers and the boundary node at Dirichlet
-        // ends (homogeneous Dirichlet holds just outside interface ends,
-        // which is the patch truncation itself).
-        let kept: Vec<usize> = (0..m)
-            .filter(|&p| {
-                !(boundary.dirichlet_lo && p <= o || boundary.dirichlet_hi && p >= m - 1 - o)
-            })
+        // Removed nodes: the boundary node at Dirichlet ends (homogeneous
+        // Dirichlet holds just outside interface ends, which is the patch
+        // truncation itself).
+        let kept: Vec<usize> = (0..n)
+            .filter(|&p| !(boundary.dirichlet_lo && p == 0 || boundary.dirichlet_hi && p == n - 1))
             .collect();
         assert!(
             !kept.is_empty(),
@@ -188,19 +128,19 @@ impl Fdm1d {
 
         // Embed back at full patch size: removed rows *and* removed mode
         // columns are zero, removed eigenvalues are +∞.
-        let mut s = DenseMatrix::zeros(m, m);
+        let mut s = DenseMatrix::zeros(n, n);
         for (ii, &p) in kept.iter().enumerate() {
             for jj in 0..mk {
                 s[(p, jj)] = s_kept[(ii, jj)];
             }
         }
-        let mut lambda = vec![f64::INFINITY; m];
+        let mut lambda = vec![f64::INFINITY; n];
         lambda[..mk].copy_from_slice(&lambda_kept);
         let st = s.transpose();
         Self { s, st, lambda }
     }
 
-    /// Patch points per direction, `N + 1 + 2·overlap`.
+    /// Patch points per direction, `N + 1`.
     #[must_use]
     pub fn num_points(&self) -> usize {
         self.lambda.len()
@@ -252,14 +192,14 @@ mod tests {
         assert_eq!(fdm.num_points(), 8);
         assert_eq!(fdm.num_modes(), 8);
         // The patch truncation is a Dirichlet condition just outside the
-        // ghosts: no Neumann constant mode, every eigenvalue positive.
+        // element: no Neumann constant mode, every eigenvalue positive.
         for l in fdm.lambda.iter().filter(|l| l.is_finite()) {
             assert!(*l > 0.0, "{l}");
         }
     }
 
     #[test]
-    fn dirichlet_ends_drop_the_ghost_and_boundary_nodes() {
+    fn dirichlet_ends_drop_the_boundary_nodes() {
         let fdm = Fdm1d::new(7, 0.25, BOTH);
         assert_eq!(fdm.num_points(), 8);
         assert_eq!(fdm.num_modes(), 6);
@@ -310,18 +250,6 @@ mod tests {
                     "({p}, {j}): {ks} vs {bsl}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn ghost_layers_extend_the_patch_when_requested() {
-        // The experiment knob widens the eigenproblem by one node per
-        // interface end and keeps it definite.
-        let fdm = Fdm1d::with_overlap(7, 0.25, INTERIOR, 1);
-        assert_eq!(fdm.num_points(), 10);
-        assert_eq!(fdm.num_modes(), 10);
-        for l in fdm.lambda.iter().filter(|l| l.is_finite()) {
-            assert!(*l > 0.0);
         }
     }
 

@@ -117,9 +117,20 @@ pub fn rcontract_z(
     }
 }
 
-/// Square x-contraction (the FDM apply's special case of [`rcontract_x`]).
-fn contract_x(m: &[f64], u: &[f64], out: &mut [f64], nx: usize) {
-    rcontract_x(m, nx, nx, u, out, nx, nx);
+/// Square x-contraction `out(i,j,k) = Σ_l m[i][l] u(l,j,k)` in axpy form:
+/// each output row accumulates `mt[l][·] · u(l,j,k)` over `l`, reading the
+/// transpose `mt = mᵀ` so the inner loop runs unit-stride over `i` and
+/// vectorizes.  The per-entry summation order over `l` is that of
+/// [`rcontract_x`], so the result is bitwise identical to it.
+fn contract_x(mt: &[f64], u: &[f64], out: &mut [f64], nx: usize) {
+    for (urow, orow) in u.chunks_exact(nx).zip(out.chunks_exact_mut(nx)) {
+        orow.fill(0.0);
+        for (&ul, mrow) in urow.iter().zip(mt.chunks_exact(nx)) {
+            for (o, &mv) in orow.iter_mut().zip(mrow) {
+                *o += mv * ul;
+            }
+        }
+    }
 }
 
 /// Square y-contraction (the FDM apply's special case of [`rcontract_y`]).
@@ -136,7 +147,8 @@ fn contract_z(m: &[f64], u: &[f64], out: &mut [f64], nx: usize) {
 /// `z = (Sz ⊗ Sy ⊗ Sx) diag(inv) (Szᵀ ⊗ Syᵀ ⊗ Sxᵀ) r`.
 ///
 /// * `s = [sx, sy, sz]`, `st = [sxᵀ, syᵀ, szᵀ]` — per-direction eigenvector
-///   matrices and their transposes, row-major `(N+1)²` each;
+///   matrices and their exact transposes (the x-contractions read `sx` for
+///   `sxᵀ` and vice versa), row-major `(N+1)²` each;
 /// * `inv` — the `(N+1)³` inverse eigenvalue sums `1 / (λˣᵢ + λʸⱼ + λᶻₖ)`
 ///   (zero entries drop the corresponding modes — removed Dirichlet nodes
 ///   and the Neumann constant mode);
@@ -164,8 +176,10 @@ pub fn fdm_element_apply(
     let t1 = &mut scratch.t1[..npts];
     let t2 = &mut scratch.t2[..npts];
 
-    // Forward: modal coefficients c = (Szᵀ ⊗ Syᵀ ⊗ Sxᵀ) r.
-    contract_x(st[0], r, t1, nx);
+    // Forward: modal coefficients c = (Szᵀ ⊗ Syᵀ ⊗ Sxᵀ) r.  The axpy-form
+    // x-contraction reads the transpose of its factor, so `Sxᵀ` comes in as
+    // `Sx` (and `Sx` as `Sxᵀ` on the way back).
+    contract_x(s[0], r, t1, nx);
     contract_y(st[1], t1, t2, nx);
     contract_z(st[2], t2, t1, nx);
     // Diagonal solve in modal space.
@@ -173,7 +187,7 @@ pub fn fdm_element_apply(
         *c *= w;
     }
     // Back: z = (Sz ⊗ Sy ⊗ Sx) c.
-    contract_x(s[0], t1, t2, nx);
+    contract_x(st[0], t1, t2, nx);
     contract_y(s[1], t2, t1, nx);
     contract_z(s[2], t1, z, nx);
 }
@@ -201,12 +215,11 @@ pub fn fdm_element_apply_cached(
     });
 }
 
-/// Patch points per direction of the FDM pass at `degree`:
-/// `N + 1 + 2·overlap` (see [`sem_basis::fdm1d::fdm_overlap`]; the measured
-/// default overlap is zero, so this is `N + 1`).
+/// Patch points per direction of the FDM pass at `degree`: the patch is
+/// the element closure, so this is `N + 1`.
 #[must_use]
 pub fn fdm_patch_points(degree: usize) -> usize {
-    degree + 1 + 2 * sem_basis::fdm_overlap(degree)
+    degree + 1
 }
 
 /// Floating-point operations of one element's FDM apply: six patch-sized

@@ -285,21 +285,23 @@ fn ax_field_core<const NX: usize, const NPTS: usize>(
     }
 }
 
-/// Square x-contraction with const trip counts (mirrors
-/// [`crate::fdm::rcontract_x`] at `rows = cols = d2 = d3 = NX`).
-#[allow(clippy::needless_range_loop)] // mirrors the generic kernel's explicit stride arithmetic
-fn contract_x_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
-    for p in 0..NX * NX {
-        let urow = &u[p * NX..(p + 1) * NX];
-        let orow = &mut out[p * NX..(p + 1) * NX];
-        for (i, o) in orow.iter_mut().enumerate() {
-            let mrow = &m[i * NX..(i + 1) * NX];
-            let mut acc = 0.0;
-            for l in 0..NX {
-                acc += mrow[l] * urow[l];
+/// Square x-contraction with const trip counts, in axpy form (mirrors the
+/// generic FDM x-contraction in [`crate::fdm`]): each output row
+/// accumulates `mt[l][·] · u(l,j,k)` over `l` in a `[f64; NX]` register
+/// row, reading the transpose `mt = mᵀ`, so the inner loop is unit-stride
+/// over `i` and the summation order is that of [`crate::fdm::rcontract_x`].
+fn contract_x_core<const NX: usize>(mt: &[f64], u: &[f64], out: &mut [f64]) {
+    for (urow, orow) in u[..NX * NX * NX]
+        .chunks_exact(NX)
+        .zip(out[..NX * NX * NX].chunks_exact_mut(NX))
+    {
+        let mut row = [0.0_f64; NX];
+        for (&ul, mrow) in urow.iter().zip(mt[..NX * NX].chunks_exact(NX)) {
+            for (o, &mv) in row.iter_mut().zip(mrow) {
+                *o += mv * ul;
             }
-            *o = acc;
         }
+        orow.copy_from_slice(&row);
     }
 }
 
@@ -355,13 +357,14 @@ fn fdm_element_core<const NX: usize, const NPTS: usize>(
     assert_eq!(inv.len(), NPTS);
     let SpecScratch { ur: t1, us: t2, .. } = scratch;
 
-    contract_x_core::<NX>(st[0], r, t1);
+    // The axpy-form x-contractions read the transpose of their factor.
+    contract_x_core::<NX>(s[0], r, t1);
     contract_y_core::<NX>(st[1], t1, t2);
     contract_z_core::<NX>(st[2], t2, t1);
     for (c, &w) in t1.iter_mut().zip(inv) {
         *c *= w;
     }
-    contract_x_core::<NX>(s[0], t1, t2);
+    contract_x_core::<NX>(st[0], t1, t2);
     contract_y_core::<NX>(s[1], t2, t1);
     contract_z_core::<NX>(s[2], t1, z);
 }
@@ -559,14 +562,6 @@ specialized_degrees!(
 );
 
 impl DegreeDispatch {
-    /// Resolve by grid points per direction (`points = N + 1`) — the FDM
-    /// pass keys on its *patch* extent, which exceeds `N + 1` when the
-    /// overlap is nonzero.
-    #[must_use]
-    pub fn for_points(points: usize) -> Option<Self> {
-        points.checked_sub(1).and_then(Self::for_degree)
-    }
-
     /// Whether a specialized kernel family exists for `degree`.
     #[must_use]
     pub fn covers(degree: usize) -> bool {
@@ -677,9 +672,6 @@ mod tests {
         }
         assert!(DegreeDispatch::for_degree(2).is_none());
         assert!(DegreeDispatch::for_degree(16).is_none());
-        assert!(DegreeDispatch::for_points(17).is_none());
-        assert!(DegreeDispatch::for_points(0).is_none());
-        assert_eq!(DegreeDispatch::for_points(8).unwrap().degree(), 7);
     }
 
     #[test]
@@ -721,9 +713,12 @@ mod tests {
             let sx = random_field(nx * nx, 1);
             let sy = random_field(nx * nx, 2);
             let sz = random_field(nx * nx, 3);
-            let stx = random_field(nx * nx, 4);
-            let sty = random_field(nx * nx, 5);
-            let stz = random_field(nx * nx, 6);
+            // The kernels' contract: `st` is exactly `sᵀ` (the axpy-form
+            // x-contractions read one in place of the other).
+            let transpose = |m: &[f64]| -> Vec<f64> {
+                (0..nx * nx).map(|p| m[(p % nx) * nx + p / nx]).collect()
+            };
+            let (stx, sty, stz) = (transpose(&sx), transpose(&sy), transpose(&sz));
             let inv = random_field(npts, 7);
             let r = random_field(npts, 8);
             let mut z_gen = vec![0.0; npts];

@@ -50,8 +50,8 @@ impl GatherScatter {
         let mut next = csr_offsets[..num_global].to_vec();
         let mut csr_locals = vec![0_usize; local_to_global.len()];
         // Filling in ascending local order keeps each global node's copies
-        // sorted, so the CSR sweep accumulates in the same order as the
-        // legacy scatter/gather path (bitwise-identical sums).
+        // sorted, so the CSR sweep accumulates in the same order as
+        // `gather(scatter_add(..))` (bitwise-identical sums).
         for (l, &g) in local_to_global.iter().enumerate() {
             csr_locals[next[g]] = l;
             next[g] += 1;
@@ -115,8 +115,8 @@ impl GatherScatter {
     /// Runs as a single sweep over the precomputed CSR global→locals map —
     /// gather each global node's copies, accumulate, scatter the sum back —
     /// with no intermediate global vector, so a CG iteration performs no
-    /// heap allocation here.  Bitwise identical to
-    /// [`GatherScatter::direct_stiffness_sum_via_global`].
+    /// heap allocation here.  Bitwise identical to composing
+    /// [`GatherScatter::scatter_add`] and [`GatherScatter::gather`].
     pub fn direct_stiffness_sum(&self, field: &mut ElementField) {
         assert_eq!(field.len(), self.num_local_dofs(), "field size mismatch");
         let data = field.as_mut_slice();
@@ -134,16 +134,6 @@ impl GatherScatter {
             for &l in locals {
                 data[l] = sum;
             }
-        }
-    }
-
-    /// The legacy two-pass dssum: scatter-add into a freshly allocated global
-    /// vector, then gather back.  Retained as the reference the CSR sweep is
-    /// parity-tested against (and for callers that want the global vector).
-    pub fn direct_stiffness_sum_via_global(&self, field: &mut ElementField) {
-        let global = self.scatter_add(field);
-        for (l, &g) in self.local_to_global.iter().enumerate() {
-            field.as_mut_slice()[l] = global[g];
         }
     }
 
@@ -242,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn csr_dssum_matches_the_legacy_global_vector_path_bitwise() {
+    fn csr_dssum_matches_scatter_add_then_gather_bitwise() {
         for (degree, elems) in [(2, 2), (3, 3), (5, 2)] {
             let (mesh, gs) = setup(degree, elems);
             let mut field = ElementField::zeros(degree, mesh.num_elements());
@@ -253,13 +243,12 @@ mod tests {
                     .wrapping_add(1);
                 (state >> 11) as f64 / (1_u64 << 53) as f64 - 0.5
             });
-            let mut csr = field.clone();
-            let mut legacy = field;
+            let two_pass = gs.gather(&gs.scatter_add(&field));
+            let mut csr = field;
             gs.direct_stiffness_sum(&mut csr);
-            gs.direct_stiffness_sum_via_global(&mut legacy);
             assert_eq!(
                 csr.as_slice(),
-                legacy.as_slice(),
+                two_pass.as_slice(),
                 "CSR sweep must be bitwise identical at degree {degree}, {elems}^3 elements"
             );
         }

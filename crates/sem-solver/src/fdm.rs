@@ -5,26 +5,33 @@
 //! ill-conditioned; the dominant cost of a backend-routed solve is
 //! `iterations × Ax`, so the highest-leverage optimisation is algorithmic.
 //! This preconditioner attacks the iteration count the way Nek5000 does,
-//! with a two-level overlapping Schwarz method:
+//! with a two-level additive Schwarz method:
 //!
-//! **Fine level — overlapping-patch fast diagonalisation.**  Each element's
-//! subdomain is the element extended by one GLL layer into every neighbour.
-//! On an undeformed brick the patch operator is the Kronecker sum of 1-D
-//! stiffness/mass pairs on `N + 3` nodes ([`sem_basis::fdm1d`]), so its
-//! inverse is three small tensor contractions each way:
+//! **Fine level — element-patch fast diagonalisation.**  Each element's
+//! subdomain is the element closure; neighbouring patches overlap only on
+//! the shared interface nodes.  On an undeformed brick the patch operator is
+//! the Kronecker sum of 1-D stiffness/mass pairs on the `N + 1` nodes
+//! ([`sem_basis::fdm1d`]), so its inverse is three small tensor contractions
+//! each way:
 //!
 //! ```text
 //! Â⁻¹ r = (S ⊗ S ⊗ S) diag(λˣᵢ + λʸⱼ + λᶻₖ)⁻¹ (Sᵀ ⊗ Sᵀ ⊗ Sᵀ) r
 //! ```
 //!
-//! The patch solves are summed with the overlap counting weight `W̃`
-//! (inverse patch-coverage count per grid point) on *both* sides —
-//! `Σₑ R̃ₑᵀ W̃ Âₑ⁻¹ W̃ R̃ₑ` — which keeps the preconditioner symmetric
-//! positive definite, so plain CG applies.  The one-layer overlap is what
-//! makes the sum strong on element faces, where zero-overlap block methods
+//! The patch solves are summed with the counting weight `W` (inverse node
+//! multiplicity — the patch-coverage count when the patch is the element) on
+//! *both* sides — `Σₑ Rₑᵀ W Âₑ⁻¹ W Rₑ` — which keeps the preconditioner
+//! symmetric positive definite, so plain CG applies.  Each patch operator
+//! has its interface entries assembled from both neighbours, which is what
+//! makes the sum strong on element faces, where unassembled block methods
 //! stall; every patch operator is definite (the truncation just outside the
-//! ghost layer is a homogeneous Dirichlet condition), so there is no Neumann
+//! element is a homogeneous Dirichlet condition), so there is no Neumann
 //! constant mode to special-case.
+//!
+//! Because the patch is the element, one application runs element by element
+//! in place: stage `W rₑ`, restrict it to the coarse space, run the tensor
+//! solve straight into `zₑ` and scale by `W`, then sum the copies with one
+//! direct stiffness summation.
 //!
 //! **Coarse level — degree-`c` Galerkin correction.**  Patch solves cannot
 //! move error that is smooth *across* many elements, so a low-degree SEM
@@ -44,7 +51,7 @@
 //! scratch warms up, so the CG hot loop stays heap-silent.
 
 use crate::cg::Preconditioner;
-use sem_basis::{fdm_overlap, DenseMatrix, Fdm1d, Fdm1dBoundary};
+use sem_basis::{DenseMatrix, Fdm1d, Fdm1dBoundary};
 use sem_kernel::fdm::{fdm_element_apply, rcontract_x, rcontract_y, rcontract_z, FdmScratch};
 use sem_kernel::specialized::{DegreeDispatch, COARSE_POINTS};
 use sem_kernel::PoissonOperator;
@@ -52,12 +59,9 @@ use sem_mesh::{BoxMesh, DirichletMask, ElementField, GatherScatter};
 use std::cell::RefCell;
 
 /// Relative threshold below which an eigenvalue sum is treated as a removed
-/// mode (belt and braces: with overlapping patches every kept mode is
-/// strictly positive already).
+/// mode (belt and braces: with assembled interface entries every kept mode
+/// is strictly positive already).
 const ZERO_MODE_TOLERANCE: f64 = 1e-12;
-
-/// Sentinel for patch nodes outside the domain.
-const OUTSIDE: u32 = u32::MAX;
 
 /// Dimension of the FDM coarse space for a fine degree on an
 /// `[ex, ey, ez]` element grid — the interior points of the degree-`c`
@@ -190,19 +194,9 @@ impl CoarseCorrection {
 #[derive(Debug, Default)]
 struct ApplyScratch {
     kernel: FdmScratch,
-    /// Patch-coverage-weighted residual, full field.
-    weighted_residual: Vec<f64>,
-    /// Counting-weighted residual of one element (coarse restriction input).
+    /// Counting-weighted residual of one element (patch solve and coarse
+    /// restriction input).
     staged: Vec<f64>,
-    /// Patch gather/solve buffers, `(N+3)³` each.
-    patch_in: Vec<f64>,
-    patch_out: Vec<f64>,
-    /// Local index of every patch node (`OUTSIDE` beyond the domain).
-    patch_src: Vec<u32>,
-    /// Global accumulation of the weighted patch corrections.
-    z_global: Vec<f64>,
-    /// Per-direction extended-axis maps (`-1`: outside).
-    axis: [Vec<i64>; 3],
     /// Coarse right-hand side / solution.
     coarse_rhs: Vec<f64>,
     /// Coarse transfer contraction buffers.
@@ -219,12 +213,6 @@ thread_local! {
 pub struct FdmPreconditioner {
     degree: usize,
     num_elements: usize,
-    element_counts: [usize; 3],
-    /// Ghost-layer depth captured at setup (the `FDM_OVERLAP` experiment
-    /// knob is read exactly once, here — every table and the apply-time
-    /// patch extent are sized from this copy, so a later environment change
-    /// cannot desynchronise them).
-    overlap: usize,
     /// Distinct boundary classes per direction (at most three each:
     /// low-boundary, interior, high-boundary — or one both-ends class).
     classes: [Vec<DirectionClass>; 3],
@@ -232,13 +220,9 @@ pub struct FdmPreconditioner {
     combo_of_element: Vec<u32>,
     /// Inverse eigenvalue-sum tables, one per distinct class combination.
     combos: Vec<ComboTable>,
-    /// The counting weight (inverse node multiplicity) feeding the coarse
-    /// restriction.
+    /// The counting weight `W` (inverse node multiplicity) applied on both
+    /// sides of the patch solves and feeding the coarse restriction.
     weight: ElementField,
-    /// The overlap counting weight `W̃` (inverse patch-coverage count),
-    /// per local node and per global node.
-    patch_weight_local: ElementField,
-    patch_weight_global: Vec<f64>,
     /// The coarse solve (`None` for degree-1 discretisations, whose fine
     /// patches already reach the vertex scale).
     coarse: Option<CoarseCorrection>,
@@ -247,19 +231,16 @@ pub struct FdmPreconditioner {
     /// Modelled seconds one application costs when the backend claims the
     /// pass on-device (`None`: measure wall-clock instead).
     modeled_seconds: Option<f64>,
-    /// Degree-specialized patch kernel, resolved once at setup from the
-    /// patch extent `N + 1 + 2·overlap` (covers overlapping patches too as
-    /// long as the extent stays within the generated range).
+    /// Degree-specialized patch kernel, resolved once at setup.
     dispatch: Option<DegreeDispatch>,
 }
 
 impl FdmPreconditioner {
     /// Build the preconditioner: solve the per-direction generalized
     /// eigenproblems (once per distinct boundary class), precompute the
-    /// inverse eigenvalue-sum table of every class combination and the
-    /// overlap weights, and assemble + factor the Galerkin coarse operator
-    /// against `operator`.  All setup cost lives here; applications allocate
-    /// nothing.
+    /// inverse eigenvalue-sum table of every class combination, and assemble
+    /// and factor the Galerkin coarse operator against `operator`.  All
+    /// setup cost lives here; applications allocate nothing.
     #[must_use]
     pub fn new(
         mesh: &BoxMesh,
@@ -268,8 +249,7 @@ impl FdmPreconditioner {
         mask: &DirichletMask,
     ) -> Self {
         let degree = mesh.degree();
-        let overlap = fdm_overlap(degree);
-        let pnx = degree + 1 + 2 * overlap;
+        let nx = degree + 1;
         let counts = mesh.element_counts();
         let lengths = mesh.lengths();
 
@@ -286,7 +266,7 @@ impl FdmPreconditioner {
                     .unwrap_or_else(|| {
                         classes[d].push(DirectionClass {
                             boundary,
-                            factors: Fdm1d::with_overlap(degree, h, boundary, overlap),
+                            factors: Fdm1d::new(degree, h, boundary),
                         });
                         classes[d].len() - 1
                     });
@@ -313,7 +293,7 @@ impl FdmPreconditioner {
                             combos.push(ComboTable {
                                 class,
                                 inv: Self::inverse_table(
-                                    pnx,
+                                    nx,
                                     &classes[0][class[0]].factors.lambda,
                                     &classes[1][class[1]].factors.lambda,
                                     &classes[2][class[2]].factors.lambda,
@@ -326,73 +306,20 @@ impl FdmPreconditioner {
             }
         }
 
-        // Overlap coverage: how many patches contain each global grid point.
-        // Per direction a node at depth `i` is covered by its own element,
-        // plus the neighbours' patches when within their ghost reach; 3-D
-        // coverage is the product.
-        let nx = degree + 1;
-        let mut coverage = vec![0_u32; gather_scatter.num_global_dofs()];
-        let l2g = gather_scatter.local_to_global();
-        let o = overlap;
-        let covers = |pos: usize, count: usize, i: usize| -> u32 {
-            let mut c = 1;
-            if pos > 0 && i <= o {
-                c += 1;
-            }
-            if pos + 1 < count && i + 1 + o >= nx {
-                c += 1;
-            }
-            c
-        };
-        let npts = nx * nx * nx;
-        for ek in 0..counts[2] {
-            for ej in 0..counts[1] {
-                for ei in 0..counts[0] {
-                    let e = ei + counts[0] * (ej + counts[1] * ek);
-                    let mut local = e * npts;
-                    for k in 0..nx {
-                        let ck = covers(ek, counts[2], k);
-                        for j in 0..nx {
-                            let cj = covers(ej, counts[1], j);
-                            for i in 0..nx {
-                                let ci = covers(ei, counts[0], i);
-                                // Every copy of a global node writes the same
-                                // product, so plain stores suffice.
-                                coverage[l2g[local]] = ci * cj * ck;
-                                local += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let patch_weight_global: Vec<f64> = coverage
-            .iter()
-            .map(|&c| if c == 0 { 0.0 } else { 1.0 / f64::from(c) })
-            .collect();
-        let mut patch_weight_local = ElementField::zeros(degree, mesh.num_elements());
-        for (w, &g) in patch_weight_local.as_mut_slice().iter_mut().zip(l2g) {
-            *w = patch_weight_global[g];
-        }
-
         let coarse = Self::build_coarse(mesh, operator);
 
         Self {
             degree,
             num_elements: mesh.num_elements(),
-            element_counts: counts,
-            overlap,
             classes,
             combo_of_element,
             combos,
             weight: gather_scatter.inverse_multiplicity(),
-            patch_weight_local,
-            patch_weight_global,
             coarse,
             gather_scatter: gather_scatter.clone(),
             mask: mask.clone(),
             modeled_seconds: None,
-            dispatch: DegreeDispatch::for_points(pnx),
+            dispatch: DegreeDispatch::for_degree(degree),
         }
     }
 
@@ -455,7 +382,7 @@ impl FdmPreconditioner {
 
     /// `1 / (λˣᵢ + λʸⱼ + λᶻₖ)` with removed modes (infinite eigenvalues)
     /// mapped to zero.
-    fn inverse_table(pnx: usize, lx: &[f64], ly: &[f64], lz: &[f64]) -> Vec<f64> {
+    fn inverse_table(nx: usize, lx: &[f64], ly: &[f64], lz: &[f64]) -> Vec<f64> {
         let max_sum = lx
             .iter()
             .chain(ly)
@@ -463,7 +390,7 @@ impl FdmPreconditioner {
             .filter(|l| l.is_finite())
             .fold(0.0_f64, |m, &l| m.max(l))
             * 3.0;
-        let mut inv = Vec::with_capacity(pnx * pnx * pnx);
+        let mut inv = Vec::with_capacity(nx * nx * nx);
         for &z in lz {
             for &y in ly {
                 for &x in lx {
@@ -594,31 +521,6 @@ impl FdmPreconditioner {
             .expect("Galerkin coarse operator is symmetric positive definite");
         Some(coarse)
     }
-
-    /// Fill one direction's extended-axis map: patch index →
-    /// `element_position * nx + node` in that direction, or `-1` outside the
-    /// domain.  The ghost layers reach `overlap` GLL nodes into each
-    /// neighbour.
-    fn fill_axis(axis: &mut Vec<i64>, pos: usize, count: usize, nx: usize, overlap: usize) {
-        axis.clear();
-        for t in 0..overlap {
-            axis.push(if pos > 0 {
-                ((pos - 1) * nx + nx - 1 - overlap + t) as i64
-            } else {
-                -1
-            });
-        }
-        for i in 0..nx {
-            axis.push((pos * nx + i) as i64);
-        }
-        for t in 0..overlap {
-            axis.push(if pos + 1 < count {
-                ((pos + 1) * nx + 1 + t) as i64
-            } else {
-                -1
-            });
-        }
-    }
 }
 
 impl Preconditioner for FdmPreconditioner {
@@ -637,61 +539,32 @@ impl Preconditioner for FdmPreconditioner {
         );
         assert_eq!(r.len(), z.len(), "output size mismatch");
         let nx = self.degree + 1;
-        let overlap = self.overlap;
-        let pnx = nx + 2 * overlap;
         let npts = nx * nx * nx;
-        let ppts = pnx * pnx * pnx;
-        let [ex, ey, _ez] = self.element_counts;
-        let l2g = self.gather_scatter.local_to_global();
 
         APPLY_SCRATCH.with(|cell| {
             let s = &mut *cell.borrow_mut();
-            if s.weighted_residual.len() != r.len() {
-                s.weighted_residual.resize(r.len(), 0.0);
-            }
             if s.staged.len() != npts {
                 s.staged.resize(npts, 0.0);
                 s.ct1.resize(npts, 0.0);
                 s.ct2.resize(npts, 0.0);
             }
-            if s.patch_in.len() != ppts {
-                s.patch_in.resize(ppts, 0.0);
-                s.patch_out.resize(ppts, 0.0);
-                s.patch_src.resize(ppts, OUTSIDE);
-            }
-            if s.z_global.len() != self.patch_weight_global.len() {
-                s.z_global.resize(self.patch_weight_global.len(), 0.0);
-            }
-            s.z_global.iter_mut().for_each(|v| *v = 0.0);
             if let Some(coarse) = &self.coarse {
                 s.coarse_rhs.resize(coarse.num_dofs, 0.0);
                 s.coarse_rhs.iter_mut().for_each(|v| *v = 0.0);
             }
 
-            // W̃-weighted residual (continuous: the weight is a function of
-            // the global node, the residual is continuous).
-            for ((w, &rv), &wv) in s
-                .weighted_residual
-                .iter_mut()
-                .zip(r.as_slice())
-                .zip(self.patch_weight_local.as_slice())
-            {
-                *w = rv * wv;
-            }
-
-            for e in 0..self.num_elements {
-                let (ei, ej, ek) = (e % ex, (e / ex) % ey, e / (ex * ey));
-                // Coarse restriction of the counting-weighted residual.
+            let elements = r
+                .as_slice()
+                .chunks_exact(npts)
+                .zip(self.weight.as_slice().chunks_exact(npts))
+                .zip(z.as_mut_slice().chunks_exact_mut(npts));
+            for (e, ((r_e, w_e), z_e)) in elements.enumerate() {
+                // Stage W rₑ once: the patch solve input and the coarse
+                // restriction input alike.
+                for ((d, &rv), &wv) in s.staged.iter_mut().zip(r_e).zip(w_e) {
+                    *d = rv * wv;
+                }
                 if let Some(coarse) = &self.coarse {
-                    let start = e * npts;
-                    for ((d, &rv), &wv) in s
-                        .staged
-                        .iter_mut()
-                        .zip(&r.as_slice()[start..start + npts])
-                        .zip(&self.weight.as_slice()[start..start + npts])
-                    {
-                        *d = rv * wv;
-                    }
                     coarse.restrict_element(
                         e,
                         &s.staged,
@@ -702,70 +575,26 @@ impl Preconditioner for FdmPreconditioner {
                     );
                 }
 
-                // Gather the overlapping patch from the weighted residual.
-                Self::fill_axis(&mut s.axis[0], ei, self.element_counts[0], nx, overlap);
-                Self::fill_axis(&mut s.axis[1], ej, self.element_counts[1], nx, overlap);
-                Self::fill_axis(&mut s.axis[2], ek, self.element_counts[2], nx, overlap);
-                let mut p = 0;
-                for &az in &s.axis[2] {
-                    for &ay in &s.axis[1] {
-                        for &ax in &s.axis[0] {
-                            if ax < 0 || ay < 0 || az < 0 {
-                                s.patch_in[p] = 0.0;
-                                s.patch_src[p] = OUTSIDE;
-                            } else {
-                                let (pex, ni) = (ax as usize / nx, ax as usize % nx);
-                                let (pey, nj) = (ay as usize / nx, ay as usize % nx);
-                                let (pez, nk) = (az as usize / nx, az as usize % nx);
-                                let src =
-                                    (pex + ex * (pey + ey * pez)) * npts + ni + nx * (nj + nx * nk);
-                                s.patch_in[p] = s.weighted_residual[src];
-                                s.patch_src[p] = u32::try_from(src).expect("local index fits u32");
-                            }
-                            p += 1;
-                        }
-                    }
-                }
-
-                // Patch tensor-product solve.
+                // Patch tensor-product solve straight into zₑ, then W.
                 let combo = &self.combos[self.combo_of_element[e] as usize];
                 let fx = &self.classes[0][combo.class[0]].factors;
                 let fy = &self.classes[1][combo.class[1]].factors;
                 let fz = &self.classes[2][combo.class[2]].factors;
+                let sm = [fx.s.as_slice(), fy.s.as_slice(), fz.s.as_slice()];
+                let st = [fx.st.as_slice(), fy.st.as_slice(), fz.st.as_slice()];
                 if let Some(dispatch) = &self.dispatch {
-                    dispatch.fdm_element_apply(
-                        [fx.s.as_slice(), fy.s.as_slice(), fz.s.as_slice()],
-                        [fx.st.as_slice(), fy.st.as_slice(), fz.st.as_slice()],
-                        &combo.inv,
-                        &s.patch_in,
-                        &mut s.patch_out,
-                    );
+                    dispatch.fdm_element_apply(sm, st, &combo.inv, &s.staged, z_e);
                 } else {
-                    fdm_element_apply(
-                        [fx.s.as_slice(), fy.s.as_slice(), fz.s.as_slice()],
-                        [fx.st.as_slice(), fy.st.as_slice(), fz.st.as_slice()],
-                        &combo.inv,
-                        &s.patch_in,
-                        &mut s.patch_out,
-                        pnx,
-                        &mut s.kernel,
-                    );
+                    fdm_element_apply(sm, st, &combo.inv, &s.staged, z_e, nx, &mut s.kernel);
                 }
-
-                // Scatter the weighted correction to the global grid.
-                for (&src, &zv) in s.patch_src.iter().zip(&s.patch_out) {
-                    if src != OUTSIDE {
-                        let g = l2g[src as usize];
-                        s.z_global[g] += self.patch_weight_global[g] * zv;
-                    }
+                for (zv, &wv) in z_e.iter_mut().zip(w_e) {
+                    *zv *= wv;
                 }
             }
 
-            // Broadcast the (continuous by construction) global correction
-            // back to element-local storage.
-            for (zv, &g) in z.as_mut_slice().iter_mut().zip(l2g) {
-                *zv = s.z_global[g];
-            }
+            // Σₑ Rₑᵀ W Âₑ⁻¹ W Rₑ r: sum the weighted copies of every shared
+            // node, which makes the correction continuous.
+            self.gather_scatter.direct_stiffness_sum(z);
 
             // Additive coarse correction: z += P A_c⁻¹ Pᵀ (W r).  The
             // interpolation prolongation is continuous, so the sum stays
@@ -819,22 +648,96 @@ mod tests {
         solver.apply_operator(&x_exact)
     }
 
+    /// The global patch formula the element-local apply replaced, kept as a
+    /// test-only reference: weight the residual, solve every element patch
+    /// with the dot-product-form contractions, add the weighted corrections
+    /// into a global vector through `scatter_add`, gather them back, then add
+    /// the coarse term.
+    fn reference_apply(pc: &FdmPreconditioner, r: &ElementField) -> ElementField {
+        let nx = pc.degree + 1;
+        let npts = nx * nx * nx;
+        let mut weighted = r.clone();
+        weighted.pointwise_mul(&pc.weight);
+        let mut corrections = ElementField::zeros(pc.degree, pc.num_elements);
+        let mut coarse_rhs = vec![0.0; pc.coarse_dofs()];
+        let (mut t1, mut t2) = (vec![0.0; npts], vec![0.0; npts]);
+        for e in 0..pc.num_elements {
+            let range = e * npts..(e + 1) * npts;
+            let r_e = &weighted.as_slice()[range.clone()];
+            if let Some(coarse) = &pc.coarse {
+                coarse.restrict_element(e, r_e, nx, &mut coarse_rhs, &mut t1, &mut t2);
+            }
+            let combo = &pc.combos[pc.combo_of_element[e] as usize];
+            let f = |d: usize| &pc.classes[d][combo.class[d]].factors;
+            rcontract_x(f(0).st.as_slice(), nx, nx, r_e, &mut t1, nx, nx);
+            rcontract_y(f(1).st.as_slice(), nx, nx, &t1, &mut t2, nx, nx);
+            rcontract_z(f(2).st.as_slice(), nx, nx, &t2, &mut t1, nx, nx);
+            for (c, &w) in t1.iter_mut().zip(&combo.inv) {
+                *c *= w;
+            }
+            rcontract_x(f(0).s.as_slice(), nx, nx, &t1, &mut t2, nx, nx);
+            rcontract_y(f(1).s.as_slice(), nx, nx, &t2, &mut t1, nx, nx);
+            let z_e = &mut corrections.as_mut_slice()[range];
+            rcontract_z(f(2).s.as_slice(), nx, nx, &t1, z_e, nx, nx);
+        }
+        corrections.pointwise_mul(&pc.weight);
+        let mut z = pc
+            .gather_scatter
+            .gather(&pc.gather_scatter.scatter_add(&corrections));
+        if let Some(coarse) = &pc.coarse {
+            coarse.factor.cholesky_solve_in_place(&mut coarse_rhs);
+            for e in 0..pc.num_elements {
+                let z_e = &mut z.as_mut_slice()[e * npts..(e + 1) * npts];
+                coarse.prolong_element_add(e, &coarse_rhs, nx, z_e, &mut t1, &mut t2);
+            }
+        }
+        pc.mask.apply(&mut z);
+        z
+    }
+
     #[test]
-    fn specialized_kernels_are_bitwise_identical_in_the_apply() {
-        let (mesh, op, gs, mask) = problem(7, 2);
-        let pre = FdmPreconditioner::new(&mesh, &op, &gs, &mask);
-        assert!(pre.dispatch.is_some(), "degree 7 patches are covered");
-        let pre_generic = pre.clone().with_generic_kernels();
-        let pi = std::f64::consts::PI;
-        let mut r = mesh.evaluate(move |x, y, z| {
-            (pi * x).sin() * (2.0 * pi * y).sin() * (pi * z).cos() + 0.3 * x * y
-        });
-        mask.apply(&mut r);
-        let mut z_spec = ElementField::zeros(7, mesh.num_elements());
-        let mut z_gen = ElementField::zeros(7, mesh.num_elements());
-        pre.apply_into(&r, &mut z_spec);
-        pre_generic.apply_into(&r, &mut z_gen);
-        assert_eq!(z_spec.as_slice(), z_gen.as_slice());
+    fn element_local_apply_is_bitwise_equal_to_the_global_patch_formula() {
+        for degree in [2_usize, 3, 7, 11, 16] {
+            // Three elements along x give the interior boundary class too.
+            let mesh = BoxMesh::new(degree, [3, 2, 2], [1.0; 3], MeshDeformation::None);
+            let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+            let gs = GatherScatter::from_mesh(&mesh);
+            let mask = DirichletMask::from_mesh(&mesh);
+            let pc = FdmPreconditioner::new(&mesh, &op, &gs, &mask);
+            assert_eq!(pc.dispatch.is_some(), DegreeDispatch::covers(degree));
+            let mut r = mesh.evaluate(|x, y, z| (4.1 * x).sin() * (2.3 * y + z).cos() + x * z);
+            gs.direct_stiffness_sum(&mut r);
+            mask.apply(&mut r);
+            let expect = reference_apply(&pc, &r);
+            for (family, pre) in [
+                ("specialized", pc.clone()),
+                ("generic", pc.with_generic_kernels()),
+            ] {
+                assert_eq!(
+                    pre.apply(&r).as_slice(),
+                    expect.as_slice(),
+                    "{family} kernels at degree {degree}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn degree_eleven_iteration_count_is_pinned() {
+        // The shape of the FDM-bound benchmark workload: N = 11 on 3³.
+        let (mesh, op, gs, mask) = problem(11, 3);
+        let options = CgOptions {
+            max_iterations: 2000,
+            tolerance: 1e-10,
+            record_history: false,
+        };
+        let solver = CgSolver::new(&op, &gs, &mask, options);
+        let rhs = generic_rhs(&mesh, &solver, &mask);
+        let out = solver.solve(&rhs, &FdmPreconditioner::new(&mesh, &op, &gs, &mask));
+        assert!(out.converged);
+        // The count the global patch formula gives; the element-local apply
+        // is bitwise equal to it, so the count must match exactly.
+        assert_eq!(out.iterations, 51);
     }
 
     /// A right-hand side with broad spectral content — the shape of an
@@ -966,7 +869,7 @@ mod tests {
     #[test]
     fn apply_is_symmetric_in_the_weighted_inner_product() {
         // CG requires M⁻¹ symmetric w.r.t. the multiplicity-weighted inner
-        // product; the both-sides overlap weight and the Galerkin coarse
+        // product; the both-sides counting weight and the Galerkin coarse
         // term guarantee it.
         let (mesh, op, gs, mask) = problem(4, 3);
         let pc = FdmPreconditioner::new(&mesh, &op, &gs, &mask);

@@ -78,5 +78,5 @@ fn main() {
     println!("\n(The CPU columns are real single-thread measurements on this host — the");
     println!(" runtime-nx generic kernel vs the compile-time-NX specialized dispatch; the");
     println!(" FPGA and A100 columns come from the calibrated simulator/models — see");
-    println!(" EXPERIMENTS.md.)");
+    println!(" the README.)");
 }

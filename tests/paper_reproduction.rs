@@ -1,7 +1,8 @@
 //! Integration tests asserting the paper's headline quantitative claims are
 //! reproduced by the simulators and models (within documented tolerances).
-//! Each test names the table/figure it guards; `EXPERIMENTS.md` records the
-//! full paper-vs-reproduced numbers.
+//! Each test names the table/figure it guards; the README ("Regenerating the
+//! paper's tables and figures") lists the binaries that print the full
+//! paper-vs-reproduced numbers.
 
 use semfpga::fpga::{FpgaAccelerator, FpgaDevice};
 use semfpga::model::measured_table1;
