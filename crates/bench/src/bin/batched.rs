@@ -5,9 +5,14 @@
 //!
 //! A second sweep walks every degree the specialized kernel family covers
 //! (N = 3..=15) and times the same manufactured solve through the pinned
-//! generic `optimized` kernel versus the degree-specialized dispatch,
+//! generic `optimized` kernel versus the degree×ISA specialized dispatch,
 //! recording the per-RHS operator seconds of each and their ratio — the
-//! measured payoff of compile-time `NX` that motivates the whole layer.
+//! measured payoff of compile-time `NX` and the run-time ISA level.
+//!
+//! Every row records the ISA level its Ax numerics ran at, the host's core
+//! count, and its Ax GFLOP/s next to the host's bandwidth roof at that
+//! degree: the single-thread STREAM-triad bandwidth measured here times
+//! the kernel's operational intensity.
 //!
 //! Writes `BENCH_batched.json` next to the working directory so successive
 //! PRs can track the batched-serving trajectory, and prints summary tables.
@@ -15,11 +20,13 @@
 //! Run with `cargo run --release -p bench --bin batched -- [degree] [elements_per_side]`
 //! (CI runs tiny sizes as a smoke step: `-- 3 2`).
 
+use bench::host_cores;
 use bench::table::{fmt, TableWriter};
-use sem_accel::{Backend, PerfSource, SemSystem};
+use sem_accel::{Backend, ExecSpec, PerfSource, SemSystem};
 use sem_kernel::specialized::{MAX_DEGREE, MIN_DEGREE};
-use sem_kernel::AxImplementation;
+use sem_kernel::{ops, AxImplementation, DegreeDispatch, Isa};
 use sem_mesh::{BoxMesh, ElementField, MeshDeformation};
+use sem_obs::WallTimer;
 use sem_solver::{CgOptions, PoissonProblem, PrecondSpec};
 use serde::Serialize;
 
@@ -52,13 +59,22 @@ struct BatchedRow {
     /// operator application, minus the batch's single five-field scratch).
     allocations_eliminated: u64,
     max_error: f64,
+    /// ISA level the Ax numerics ran at (see [`kernel_isa`]).
+    isa: String,
+    /// Logical cores of the host that ran the sweep.
+    host_cores: usize,
+    /// Ax GFLOP/s over the per-RHS operator seconds: measured on CPU rows,
+    /// modelled device throughput on simulated rows.
+    ax_gflops: f64,
+    /// The host's bandwidth roof at this degree (GFLOP/s), for comparison.
+    host_roof_gflops: f64,
 }
 
 /// One degree of the generic-vs-specialized kernel comparison: the same
 /// manufactured Jacobi-CG solve run once through the pinned generic
-/// `optimized` kernel and once through the degree-specialized dispatch
-/// (which is what `cpu:specialized` — and the auto-upgraded `cpu:optimized`
-/// — executes in production).
+/// `optimized` kernel and once through the degree×ISA specialized dispatch
+/// (which is what the auto-upgraded `cpu:optimized` executes in
+/// production).
 #[derive(Debug, Clone, Serialize)]
 struct DegreeRow {
     degree: usize,
@@ -81,6 +97,15 @@ struct DegreeRow {
     /// Max |specialized − reference| of one operator application on the
     /// manufactured exact field (parity, not convergence error).
     max_error: f64,
+    /// ISA level the specialized dispatch resolved to on this host.
+    isa: String,
+    /// Logical cores of the host that ran the sweep.
+    host_cores: usize,
+    /// Measured Ax GFLOP/s through the specialized dispatch.
+    ax_gflops: f64,
+    /// The host's bandwidth roof at this degree (GFLOP/s); above it the
+    /// working set runs from a faster cache level than the triad's.
+    host_roof_gflops: f64,
 }
 
 /// The persisted sweep.
@@ -89,33 +114,82 @@ struct BatchedBenchReport {
     degree: usize,
     elements_per_side: usize,
     batches: Vec<usize>,
+    /// Best single-thread STREAM-triad bandwidth of the host (GB/s).
+    host_triad_gbs: f64,
     rows: Vec<BatchedRow>,
     /// Generic-vs-specialized kernel timing for every covered degree.
     degree_sweep: Vec<DegreeRow>,
 }
 
+/// Best single-thread STREAM-triad bandwidth (`a = b + s·c`, 24 bytes per
+/// element) over a few passes on 48 MB of arrays: beyond any per-core
+/// cache, like the field sizes the sweeps stream (a large shared
+/// last-level cache may still hold them).
+fn triad_gbs() -> f64 {
+    const LEN: usize = 1 << 21;
+    let b = vec![1.0_f64; LEN];
+    let c = vec![2.0_f64; LEN];
+    let mut a = vec![0.0_f64; LEN];
+    let mut best = f64::INFINITY;
+    for pass in 0..6 {
+        let scale = 1.0 + pass as f64;
+        let timer = WallTimer::start();
+        for ((a, &b), &c) in a.iter_mut().zip(&b).zip(&c) {
+            *a = b + scale * c;
+        }
+        std::hint::black_box(&mut a);
+        best = best.min(timer.elapsed_wall_seconds());
+    }
+    (24 * LEN) as f64 / best / 1e9
+}
+
+/// The host's bandwidth roof at `degree`: triad bandwidth times the Ax
+/// kernel's operational intensity (GFLOP/s).
+fn roof_gflops(triad_gbs: f64, degree: usize) -> f64 {
+    triad_gbs * ops::operational_intensity(degree)
+}
+
+/// The ISA level a backend's Ax numerics run at: the specialized family's
+/// level for `cpu:optimized` and the FPGA simulators (which run it too) on
+/// covered degrees, the build baseline for the generic kernels.
+fn kernel_isa(exec: &ExecSpec, degree: usize) -> &'static str {
+    let generic = matches!(
+        exec,
+        ExecSpec::Cpu(AxImplementation::Reference | AxImplementation::Parallel)
+    );
+    let dispatch = if generic {
+        None
+    } else {
+        DegreeDispatch::for_degree(degree)
+    };
+    dispatch.map_or(Isa::Baseline, |d| d.isa()).name()
+}
+
 /// Time the manufactured solve through `operator` and return the best
-/// per-RHS operator seconds over `reps` runs plus the iteration count.
+/// per-RHS operator seconds over `reps` runs, the iteration count and the
+/// operator applications of one solve.
 fn time_solve(
     problem: &PoissonProblem,
     operator: &sem_kernel::PoissonOperator,
     options: CgOptions,
     reps: usize,
-) -> (f64, usize) {
+) -> (f64, usize, usize) {
     let mut best = f64::INFINITY;
     let mut iterations = 0;
+    let mut applications = 0;
     for _ in 0..reps {
         let solution = problem.solve_manufactured_through(operator, options, PrecondSpec::Jacobi);
         best = best.min(solution.cg.operator_seconds);
         iterations = solution.cg.iterations;
+        applications = solution.cg.operator_applications;
     }
-    (best, iterations)
+    (best, iterations, applications)
 }
 
 /// Walk every specialized degree, timing generic vs specialized kernels on
 /// the same problem and checking one application against the reference
 /// kernel.
-fn sweep_degrees(per_side: usize) -> Vec<DegreeRow> {
+fn sweep_degrees(per_side: usize, triad_gbs: f64) -> Vec<DegreeRow> {
     // Timing-oriented options: enough iterations to integrate over, bounded
     // so the 13-degree sweep stays quick even at N = 15.
     let options = CgOptions {
@@ -126,7 +200,7 @@ fn sweep_degrees(per_side: usize) -> Vec<DegreeRow> {
     let mut rows = Vec::new();
     for degree in MIN_DEGREE..=MAX_DEGREE {
         let mesh = BoxMesh::new(degree, [per_side; 3], [1.0; 3], MeshDeformation::None);
-        let problem = PoissonProblem::new(mesh, AxImplementation::Specialized);
+        let problem = PoissonProblem::new(mesh, AxImplementation::Optimized);
         let specialized = problem.operator();
         let mut generic = specialized.clone();
         generic.pin_generic();
@@ -145,8 +219,10 @@ fn sweep_degrees(per_side: usize) -> Vec<DegreeRow> {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0_f64, f64::max);
 
-        let (generic_seconds, iterations) = time_solve(&problem, &generic, options, 2);
-        let (specialized_seconds, _) = time_solve(&problem, specialized, options, 2);
+        let (generic_seconds, iterations, applications) =
+            time_solve(&problem, &generic, options, 2);
+        let (specialized_seconds, _, _) = time_solve(&problem, specialized, options, 2);
+        let flops = applications as f64 * specialized.flops_per_application() as f64;
         rows.push(DegreeRow {
             degree,
             elements_per_side: per_side,
@@ -156,6 +232,14 @@ fn sweep_degrees(per_side: usize) -> Vec<DegreeRow> {
             specialized_per_rhs_operator_seconds: specialized_seconds,
             speedup: generic_seconds / specialized_seconds.max(f64::MIN_POSITIVE),
             max_error,
+            isa: specialized
+                .dispatch()
+                .map_or(Isa::Baseline, DegreeDispatch::isa)
+                .name()
+                .to_string(),
+            host_cores: host_cores(),
+            ax_gflops: flops / specialized_seconds / 1e9,
+            host_roof_gflops: roof_gflops(triad_gbs, degree),
         });
     }
     rows
@@ -184,8 +268,17 @@ fn main() {
         "xfer drop",
         "modeled/RHS (ms)",
         "allocs saved",
+        "isa",
+        "Ax GF/s",
     ]);
 
+    let triad_gbs = triad_gbs();
+    let roof = roof_gflops(triad_gbs, degree);
+    println!(
+        "Host: {} cores, single-thread triad {triad_gbs:.1} GB/s, bandwidth roof at N = {degree}: \
+         {roof:.1} GFLOP/s\n",
+        host_cores()
+    );
     let mut rows = Vec::new();
     for name in Backend::registry_names() {
         let system = SemSystem::builder()
@@ -194,6 +287,8 @@ fn main() {
             .backend_named(&name)
             .build();
         let sequential = system.solve(options);
+        let isa = kernel_isa(&system.backend().exec, degree);
+        let flops_per_application = system.operator().flops_per_application() as f64;
 
         for batch in BATCHES {
             let reports = system.solve_many_manufactured(batch, options);
@@ -215,6 +310,8 @@ fn main() {
             let total_iterations: u64 = reports.iter().map(|r| r.iterations() as u64).sum();
             let allocations_eliminated =
                 (batch as u64 * 3 + 2 * total_iterations + applications).saturating_sub(5);
+            let per_rhs_flops = applications as f64 * flops_per_application / batch as f64;
+            let ax_gflops = per_rhs_flops / per_rhs_operator_seconds / 1e9;
             let row = BatchedRow {
                 backend: name.clone(),
                 precond: reports[0].precond.label().to_string(),
@@ -228,6 +325,10 @@ fn main() {
                 per_rhs_modeled_seconds: per_rhs_operator_seconds + per_rhs_transfer_seconds,
                 allocations_eliminated,
                 max_error: reports[0].solution.max_error,
+                isa: isa.to_string(),
+                host_cores: host_cores(),
+                ax_gflops,
+                host_roof_gflops: roof,
             };
             table.row(vec![
                 name.clone(),
@@ -238,6 +339,8 @@ fn main() {
                 format!("{:.0}%", row.transfer_drop_percent),
                 fmt(row.per_rhs_modeled_seconds * 1e3, 3),
                 row.allocations_eliminated.to_string(),
+                row.isa.clone(),
+                fmt(row.ax_gflops, 2),
             ]);
             rows.push(row);
         }
@@ -251,7 +354,7 @@ fn main() {
         "\nDegree sweep: generic vs specialized kernels, N = {MIN_DEGREE}..={MAX_DEGREE}, \
          {sweep_side}x{sweep_side}x{sweep_side} elements\n"
     );
-    let degree_sweep = sweep_degrees(sweep_side);
+    let degree_sweep = sweep_degrees(sweep_side, triad_gbs);
     let mut sweep_table = TableWriter::new(vec![
         "N",
         "unroll",
@@ -259,6 +362,9 @@ fn main() {
         "generic op/RHS (ms)",
         "specialized op/RHS (ms)",
         "speedup",
+        "isa",
+        "Ax GF/s",
+        "roof",
         "max err",
     ]);
     for row in &degree_sweep {
@@ -269,6 +375,9 @@ fn main() {
             fmt(row.generic_per_rhs_operator_seconds * 1e3, 3),
             fmt(row.specialized_per_rhs_operator_seconds * 1e3, 3),
             format!("{:.2}x", row.speedup),
+            row.isa.clone(),
+            fmt(row.ax_gflops, 2),
+            format!("{:.0}%", row.ax_gflops / row.host_roof_gflops * 100.0),
             format!("{:.1e}", row.max_error),
         ]);
     }
@@ -278,6 +387,7 @@ fn main() {
         degree,
         elements_per_side: per_side,
         batches: BATCHES.to_vec(),
+        host_triad_gbs: triad_gbs,
         rows,
         degree_sweep,
     };

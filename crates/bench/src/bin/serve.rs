@@ -34,6 +34,7 @@
 //! and the model-drift calibration report (`OBS_drift.json`) — the
 //! committed samples sem-lint's obs-schema pass validates.
 
+use bench::host_cores;
 use bench::table::{fmt, TableWriter};
 use sem_accel::{Backend, SemSystem};
 use sem_obs::{chrome_trace_json, recorder, DriftReport, ObsConfig, Recorder};
@@ -398,11 +399,6 @@ fn async_scenario(
         bitwise_identical,
         host_cores: host_cores(),
     }
-}
-
-/// Cores available to this process.
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 fn async_sweep(degree: usize, per_side: usize, num_requests: usize) -> Vec<AsyncRow> {

@@ -22,6 +22,8 @@ use crate::power::PowerModel;
 use crate::synthesis::{synthesize, SynthesisReport};
 use perf_model::FpgaDevice;
 use sem_basis::DerivativeMatrix;
+use sem_kernel::optimized::ax_optimized_slices;
+use sem_kernel::DegreeDispatch;
 use sem_mesh::{ElementField, GeometricFactors};
 use sem_obs::{recorder, Scope, SpanEvent, SpanKind};
 use serde::{Deserialize, Serialize};
@@ -102,6 +104,9 @@ pub struct FpgaAccelerator {
     memory: MemorySystem,
     power: PowerModel,
     derivative: DerivativeMatrix,
+    /// The specialized kernel family standing in for the datapath's
+    /// numerics, resolved once here; `None` outside `N = 3..=15`.
+    dispatch: Option<DegreeDispatch>,
 }
 
 impl FpgaAccelerator {
@@ -126,6 +131,7 @@ impl FpgaAccelerator {
             memory,
             power: PowerModel::stratix10_board(),
             derivative,
+            dispatch: DegreeDispatch::for_degree(design.degree),
         }
     }
 
@@ -381,17 +387,39 @@ impl FpgaAccelerator {
     ) -> ExecutionReport {
         assert_eq!(u.degree(), self.design.degree, "field degree mismatch");
         assert_eq!(u.len(), w.len(), "output field size mismatch");
-        // The datapath evaluates the same split-layout dataflow as the
-        // optimised host kernel; results agree with the reference kernel to
-        // rounding (the real accelerator reorders operations too, via
-        // -ffp-reassoc).
-        sem_kernel::optimized::ax_optimized(
+        self.apply_block(
             u.as_slice(),
             w.as_mut_slice(),
-            planes,
-            &self.derivative,
+            [
+                &planes[0][..],
+                &planes[1][..],
+                &planes[2][..],
+                &planes[3][..],
+                &planes[4][..],
+                &planes[5][..],
+            ],
         );
         self.estimate(u.num_elements())
+    }
+
+    /// The numerics of one kernel launch over a block of whole elements.
+    /// The datapath evaluates the same split-layout dataflow as the
+    /// optimised host kernel, through the degree-specialized family when
+    /// the degree has one, so results are bitwise those of
+    /// `sem_kernel::optimized::ax_optimized` and agree with the reference
+    /// kernel to rounding (the real accelerator reorders operations too,
+    /// via -ffp-reassoc).
+    pub(crate) fn apply_block(&self, u: &[f64], w: &mut [f64], planes: [&[f64]; 6]) {
+        match &self.dispatch {
+            Some(dispatch) => dispatch.ax_apply_all(
+                u,
+                w,
+                planes,
+                self.derivative.d().as_slice(),
+                self.derivative.dt().as_slice(),
+            ),
+            None => ax_optimized_slices(u, w, planes, &self.derivative),
+        }
     }
 }
 

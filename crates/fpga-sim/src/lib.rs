@@ -2,7 +2,8 @@
 //!
 //! The paper's artefact is an OpenCL-HLS bitstream for a Stratix 10 FPGA; no
 //! synthesis toolchain or board is available to this reproduction, so this
-//! crate stands in for both (the substitution is documented in `DESIGN.md`).
+//! crate stands in for both (the substitution is described at the top of the
+//! repository README).
 //! It models the accelerator at the level the paper itself reasons about:
 //!
 //! * [`design`] — the accelerator configuration per polynomial degree (unroll

@@ -10,8 +10,6 @@
 
 use crate::executor::FpgaAccelerator;
 use perf_model::FpgaDevice;
-use sem_basis::DerivativeMatrix;
-use sem_kernel::optimized::ax_optimized_slices;
 use sem_mesh::{ElementField, GeometricFactors};
 use serde::{Deserialize, Serialize};
 
@@ -101,7 +99,6 @@ pub fn estimate_scaling(
 #[derive(Debug, Clone)]
 pub struct MultiBoardAccelerator {
     accelerator: FpgaAccelerator,
-    derivative: DerivativeMatrix,
     boards: usize,
     interconnect_gbs: f64,
 }
@@ -118,7 +115,6 @@ impl MultiBoardAccelerator {
         assert!(boards > 0, "need at least one board");
         Self {
             accelerator: FpgaAccelerator::for_degree(degree, device),
-            derivative: DerivativeMatrix::new(degree),
             boards,
             interconnect_gbs,
         }
@@ -210,9 +206,9 @@ impl MultiBoardAccelerator {
         let npts = u.dofs_per_element();
         let per_board = self.elements_per_board(num_elements);
 
-        // Each board runs the shared split-layout element loop on its own
-        // contiguous block, so results are bitwise identical to a single
-        // board evaluating everything.
+        // Each board runs the single-board kernel on its own contiguous
+        // block, so results are bitwise identical to a single board
+        // evaluating everything.
         let u_data = u.as_slice();
         let w_data = w.as_mut_slice();
         for board in 0..self.boards {
@@ -222,7 +218,7 @@ impl MultiBoardAccelerator {
                 break;
             }
             let range = first * npts..last * npts;
-            ax_optimized_slices(
+            self.accelerator.apply_block(
                 &u_data[range.clone()],
                 &mut w_data[range.clone()],
                 [
@@ -233,7 +229,6 @@ impl MultiBoardAccelerator {
                     &planes[4][range.clone()],
                     &planes[5][range.clone()],
                 ],
-                &self.derivative,
             );
         }
         self.estimate(num_elements)
@@ -311,6 +306,48 @@ mod tests {
             );
             assert_eq!(est.boards, boards);
             assert!(est.kernel_seconds > 0.0);
+        }
+    }
+
+    #[test]
+    fn single_and_multi_board_numerics_are_bitwise_equal_to_the_generic_kernel() {
+        use sem_basis::DerivativeMatrix;
+        use sem_kernel::optimized::ax_optimized;
+        use sem_mesh::{BoxMesh, MeshDeformation};
+        let device = FpgaDevice::stratix10_gx2800();
+        // N = 2 has no specialized family and exercises the fallback.
+        for degree in [2, 3, 7, 15] {
+            let mesh = BoxMesh::new(
+                degree,
+                [3, 1, 1],
+                [1.0, 1.0, 1.0],
+                MeshDeformation::Sinusoidal { amplitude: 0.05 },
+            );
+            let geometry = GeometricFactors::from_mesh(&mesh);
+            let u = mesh.evaluate(|x, y, z| (3.0 * x).sin() * (y + 0.2) + z * z);
+            let mut w_generic = ElementField::zeros(degree, mesh.num_elements());
+            ax_optimized(
+                u.as_slice(),
+                w_generic.as_mut_slice(),
+                &geometry.split(),
+                &DerivativeMatrix::new(degree),
+            );
+
+            let single = FpgaAccelerator::for_degree(degree, &device);
+            let mut w_single = ElementField::zeros(degree, mesh.num_elements());
+            single.execute_into(&u, &geometry, &mut w_single);
+            assert_eq!(w_generic.as_slice(), w_single.as_slice(), "N={degree}");
+
+            for boards in [2, 3] {
+                let multi = MultiBoardAccelerator::new(degree, &device, boards, 12.0);
+                let mut w_multi = ElementField::zeros(degree, mesh.num_elements());
+                multi.execute_into(&u, &geometry, &mut w_multi);
+                assert_eq!(
+                    w_generic.as_slice(),
+                    w_multi.as_slice(),
+                    "N={degree}, {boards} boards"
+                );
+            }
         }
     }
 

@@ -106,13 +106,6 @@ impl Backend {
         Self::new(ExecSpec::Cpu(AxImplementation::Parallel))
     }
 
-    /// Native CPU, degree-specialized const-generic kernel (falls back to
-    /// the generic optimised kernel outside degrees 3..=15).
-    #[must_use]
-    pub fn cpu_specialized() -> Self {
-        Self::new(ExecSpec::Cpu(AxImplementation::Specialized))
-    }
-
     /// Simulated FPGA on the evaluated Stratix 10 GX2800 board.
     #[must_use]
     pub fn fpga_simulated() -> Self {
@@ -194,7 +187,6 @@ impl Backend {
             ExecSpec::Cpu(AxImplementation::Reference) => Some("cpu:reference".to_string()),
             ExecSpec::Cpu(AxImplementation::Optimized) => Some("cpu:optimized".to_string()),
             ExecSpec::Cpu(AxImplementation::Parallel) => Some("cpu:parallel".to_string()),
-            ExecSpec::Cpu(AxImplementation::Specialized) => Some("cpu:specialized".to_string()),
             ExecSpec::FpgaSimulated(device) => {
                 device_slug(device).map(|slug| format!("fpga:{slug}"))
             }
@@ -234,7 +226,6 @@ impl Backend {
                 "reference" => ExecSpec::Cpu(AxImplementation::Reference),
                 "optimized" => ExecSpec::Cpu(AxImplementation::Optimized),
                 "parallel" => ExecSpec::Cpu(AxImplementation::Parallel),
-                "specialized" => ExecSpec::Cpu(AxImplementation::Specialized),
                 _ => return None,
             },
             "fpga" => ExecSpec::FpgaSimulated(arch_db::fpga_device(spec)?),
@@ -266,7 +257,6 @@ impl Backend {
             "cpu:reference".to_string(),
             "cpu:optimized".to_string(),
             "cpu:parallel".to_string(),
-            "cpu:specialized".to_string(),
         ];
         names.extend(
             arch_db::fpga_device_slugs()

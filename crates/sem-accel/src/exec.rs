@@ -297,7 +297,6 @@ impl CpuBackend {
             AxImplementation::Reference => "cpu-reference",
             AxImplementation::Optimized => "cpu-optimized",
             AxImplementation::Parallel => "cpu-parallel",
-            AxImplementation::Specialized => "cpu-specialized",
         }
     }
 }

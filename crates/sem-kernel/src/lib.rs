@@ -17,11 +17,14 @@
 //! * [`parallel`] — the optimised kernel dispatched over elements with Rayon,
 //!   the multi-core CPU baseline of the evaluation.
 //!
-//! [`specialized`] layers degree-specialized codegen on top: const-generic
-//! kernel families with `NX = N + 1` baked in for the hot degrees
-//! `N = 3..=15`, resolved once via [`specialized::DegreeDispatch`] and
-//! bitwise identical to [`optimized`] (the Rust-native analogue of the
-//! paper's fixed-degree HLS datapath).
+//! [`specialized`] layers degree×ISA-specialized codegen on top:
+//! const-generic kernel families with `NX = N + 1` baked in for the hot
+//! degrees `N = 3..=15`, each compiled for the build baseline, `avx2,fma`
+//! and `avx512f`, resolved once (degree plus the widest level the CPU
+//! reports) via [`specialized::DegreeDispatch`] and bitwise identical to
+//! [`optimized`] (the Rust-native analogue of the paper's fixed-degree,
+//! fixed-width HLS datapath).  Its `isa` submodule is the crate's only
+//! `unsafe` code.
 //!
 //! [`ops`] provides the FLOP / byte / DOF accounting used by every
 //! benchmark, matching the closed forms of Section IV, and [`assemble`]
@@ -29,7 +32,11 @@
 //! preconditioning.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the specialized kernels pick an ISA level at run
+// time, and calling a `#[target_feature]` entry point is `unsafe`.  The one
+// `#[allow(unsafe_code)]` is `specialized::isa`, where every call names the
+// `is_x86_feature_detected!` check that guards it.
+#![deny(unsafe_code)]
 
 pub mod assemble;
 pub mod fdm;
@@ -48,4 +55,4 @@ pub use fdm::{
 pub use helmholtz::{HelmholtzCost, HelmholtzOperator};
 pub use operator::{AxImplementation, PoissonOperator};
 pub use ops::{bytes_per_dof, flops_per_dof, operational_intensity, KernelCost, KernelTraffic};
-pub use specialized::{kernel_structure, DegreeDispatch, KernelStructure};
+pub use specialized::{kernel_structure, DegreeDispatch, Isa, KernelStructure};

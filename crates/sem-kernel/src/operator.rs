@@ -19,15 +19,13 @@ use serde::{Deserialize, Serialize};
 pub enum AxImplementation {
     /// Listing-1 port on the interleaved layout (ground truth).
     Reference,
-    /// Split-layout, cache-blocked kernel.
+    /// Split-layout kernel.  Runs the degree×ISA specialized family of
+    /// [`crate::specialized`] when the degree is in `3..=15` (bitwise
+    /// identical results), the generic split-layout kernel otherwise.
     #[default]
     Optimized,
     /// Split-layout kernel parallelised over elements with Rayon.
     Parallel,
-    /// Degree-specialized const-generic kernel (`NX = N + 1` compile-time,
-    /// see [`crate::specialized`]); bitwise identical to [`Self::Optimized`]
-    /// and falls back to it when the degree is outside `3..=15`.
-    Specialized,
 }
 
 /// The matrix-free local Poisson operator bound to a mesh.
@@ -45,13 +43,11 @@ pub struct PoissonOperator {
 }
 
 /// Resolve the specialized dispatch for an implementation/degree pair:
-/// `Specialized` asks for it explicitly, and `Optimized` auto-upgrades
-/// (bitwise-identical results) when the degree is covered.
+/// `Optimized` auto-upgrades (bitwise-identical results) when the degree is
+/// covered.
 fn resolve_dispatch(implementation: AxImplementation, degree: usize) -> Option<DegreeDispatch> {
     match implementation {
-        AxImplementation::Optimized | AxImplementation::Specialized => {
-            DegreeDispatch::for_degree(degree)
-        }
+        AxImplementation::Optimized => DegreeDispatch::for_degree(degree),
         AxImplementation::Reference | AxImplementation::Parallel => None,
     }
 }
@@ -173,7 +169,7 @@ impl PoissonOperator {
                 self.geometry.interleaved(),
                 &self.derivative,
             ),
-            AxImplementation::Optimized | AxImplementation::Specialized => {
+            AxImplementation::Optimized => {
                 if let Some(dispatch) = &self.dispatch {
                     dispatch.ax_apply_all(
                         u.as_slice(),
@@ -263,7 +259,7 @@ mod tests {
     #[test]
     fn specialized_dispatch_resolves_once_and_is_bitwise_identical() {
         let mesh = BoxMesh::unit_cube(5, 2);
-        let mut op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
+        let mut op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
         assert!(op.dispatch().is_some(), "degree 5 is covered");
         let mut rng = StdRng::seed_from_u64(23);
         let mut u = ElementField::zeros(5, 8);
@@ -289,19 +285,21 @@ mod tests {
     }
 
     #[test]
-    fn specialized_out_of_range_falls_back_without_panicking() {
+    fn out_of_range_degrees_fall_back_without_panicking() {
         let mesh = BoxMesh::unit_cube(2, 2);
-        let mut op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
+        let mut op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
         assert!(op.dispatch().is_none(), "degree 2 is below the range");
         let mut rng = StdRng::seed_from_u64(31);
         let mut u = ElementField::zeros(2, 8);
         u.as_mut_slice()
             .iter_mut()
             .for_each(|v| *v = rng.gen_range(-1.0..1.0));
-        let w_spec = op.apply(&u);
-        op.set_implementation(AxImplementation::Optimized);
-        let w_opt = op.apply(&u);
-        assert_eq!(w_spec.as_slice(), w_opt.as_slice());
+        let w_fallback = op.apply(&u);
+        // The parallel kernel runs the same generic arithmetic element by
+        // element.
+        op.set_implementation(AxImplementation::Parallel);
+        let w_generic = op.apply(&u);
+        assert_eq!(w_fallback.as_slice(), w_generic.as_slice());
     }
 
     #[test]

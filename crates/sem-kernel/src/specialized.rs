@@ -1,30 +1,42 @@
-//! Degree-specialized tensor-contraction kernels (const-generic codegen).
+//! Degree×ISA-specialized tensor-contraction kernels (const-generic codegen
+//! plus run-time ISA dispatch).
 //!
 //! The paper's accelerator (Section III-B, Listing 1) owes its throughput to
-//! specializing the datapath to one polynomial degree: loop trip counts,
-//! unroll factors and array partitioning are HLS *compile-time* constants.
-//! The generic CPU kernels in [`crate::optimized`] and [`crate::fdm`] carry
-//! `nx` as a runtime value, so LLVM can neither fully unroll the unit-stride
-//! inner dimensions nor keep the differentiation rows in registers.  This
-//! module is the Rust-native analogue of that HLS specialization: one
-//! monomorphized kernel family per hot degree `N = 3..=15`, generated from a
-//! single const-generic contraction core with `NX = N + 1` baked in.
+//! specializing the datapath to one polynomial degree and one vector width:
+//! loop trip counts, unroll factors and array partitioning are HLS
+//! *compile-time* constants.  The generic CPU kernels in
+//! [`crate::optimized`] and [`crate::fdm`] carry `nx` as a runtime value, so
+//! LLVM can neither fully unroll the unit-stride inner dimensions nor keep
+//! the differentiation rows in registers.  This module is the Rust-native
+//! analogue of that HLS specialization: one monomorphized kernel family per
+//! hot degree `N = 3..=15`, generated from a single const-generic
+//! contraction core with `NX = N + 1` baked in — and compiled once per
+//! instruction-set level ([`Isa`]: the build baseline, `avx2,fma`,
+//! `avx512f`), because the workspace builds for baseline x86-64.
 //!
-//! Three properties are contractual:
+//! Four properties are contractual:
 //!
-//! * **Bitwise parity.**  Every specialized kernel performs the *same*
-//!   floating-point operations in the *same* order as its generic
+//! * **Bitwise parity.**  Every specialized kernel, at every ISA level,
+//!   sums the *same* products in the *same* order as its generic
 //!   counterpart (`ax_element_split`, `fdm_element_apply`, the coarse
-//!   `rcontract_*` chain); only the trip counts are compile-time.  Results
-//!   are therefore bitwise identical, and the `cpu:optimized` backend can
-//!   auto-upgrade to the specialized path without perturbing any solve.
+//!   `rcontract_*` chain); only the trip counts are compile-time.  The ISA
+//!   levels cannot change rounding either: rustc never contracts
+//!   `a * b + c` into an FMA, and vectorising loops whose iterations are
+//!   independent outputs reorders no sum.  Results are therefore bitwise
+//!   identical, and the `cpu:optimized` backend and the FPGA simulator can
+//!   run the specialized path without perturbing any solve.
 //! * **Fixed-size, allocation-free scratch.**  Element scratch is
 //!   `[f64; NX·NX·NX]`-backed (six banks, one per intermediate plane —
 //!   mirroring the accelerator's BRAM banks), boxed once per thread and
 //!   reused for every application.
 //! * **One dispatch.**  [`DegreeDispatch::for_degree`] resolves the whole
-//!   kernel family once at session/backend setup; out-of-range degrees get
-//!   `None` and callers fall back to the generic path.
+//!   kernel family — degree and the widest ISA level the CPU reports — once
+//!   at session/backend setup; out-of-range degrees get `None` and callers
+//!   fall back to the generic path.  There is no option to force a level.
+//! * **One `unsafe` site.**  Calling a `#[target_feature]` entry point is
+//!   `unsafe`; the private `isa` submodule is the only place that does it,
+//!   and it hands out a level only after `is_x86_feature_detected!`
+//!   confirmed it.
 //!
 //! The generated kernels also export their structural constants
 //! ([`KernelStructure`]): the unroll width of the unit-stride inner
@@ -33,6 +45,11 @@
 //! design parameters from these instead of hand-picked constants, so the
 //! measured CPU kernel and the modeled FPGA datapath share one source of
 //! truth.
+
+#[allow(unsafe_code)]
+mod isa;
+
+pub use isa::Isa;
 
 /// Smallest specialized degree.
 pub const MIN_DEGREE: usize = 3;
@@ -131,11 +148,15 @@ impl<const NPTS: usize> SpecScratch<NPTS> {
 
 /// One element's `w = Dᵀ G D u` with `NX` as a compile-time constant.
 ///
-/// Mirrors [`crate::optimized::ax_element_split`] operation for operation
-/// (same loops, same accumulation order — results are bitwise identical);
-/// the const trip counts let LLVM fully unroll the `0..NX` dot products and
-/// elide the bounds checks against the fixed-size scratch.
-#[allow(clippy::needless_range_loop)] // mirrors the generic kernel's explicit stride arithmetic
+/// Mirrors [`crate::optimized::ax_element_split`] operation for operation:
+/// every output sums the same products in the same order, so results are
+/// bitwise identical.  The r-contractions run in axpy form through
+/// [`contract_x_core`]: each output row accumulates `dt[l][·]·u(l,j,k)`
+/// (forward) or `d[l][·]·shur(l,j,k)` (backward) over `l` in a `[f64; NX]`
+/// row — the generic kernel's dot products, reordered across outputs only,
+/// so the loops vectorize.  `dt` must be exactly `dᵀ`.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // one index walks nine same-length planes
 fn ax_element_core<const NX: usize, const NPTS: usize>(
     u: &[f64],
     w: &mut [f64],
@@ -152,58 +173,11 @@ fn ax_element_core<const NX: usize, const NPTS: usize>(
     for plane in g {
         assert_eq!(plane.len(), NPTS);
     }
-    let nxy = NX * NX;
 
-    {
-        let ur = &mut scratch.ur;
-        let us = &mut scratch.us;
-        let ut = &mut scratch.ut;
-        ur.iter_mut().for_each(|v| *v = 0.0);
-        us.iter_mut().for_each(|v| *v = 0.0);
-        ut.iter_mut().for_each(|v| *v = 0.0);
-
-        // r-direction: for each (j,k) row, small dense mat-vec.
-        for k in 0..NX {
-            for j in 0..NX {
-                let row = j * NX + k * nxy;
-                for i in 0..NX {
-                    let mut acc = 0.0;
-                    let drow = &d[i * NX..(i + 1) * NX];
-                    let urow = &u[row..row + NX];
-                    for l in 0..NX {
-                        acc += drow[l] * urow[l];
-                    }
-                    ur[i + row] = acc;
-                }
-            }
-        }
-        // s-direction.
-        for k in 0..NX {
-            for j in 0..NX {
-                let drow = &d[j * NX..(j + 1) * NX];
-                for l in 0..NX {
-                    let dv = drow[l];
-                    let src = l * NX + k * nxy;
-                    let dst = j * NX + k * nxy;
-                    for i in 0..NX {
-                        us[i + dst] += dv * u[i + src];
-                    }
-                }
-            }
-        }
-        // t-direction.
-        for k in 0..NX {
-            let drow = &d[k * NX..(k + 1) * NX];
-            for l in 0..NX {
-                let dv = drow[l];
-                let src = l * nxy;
-                let dst = k * nxy;
-                for ij in 0..nxy {
-                    ut[ij + dst] += dv * u[ij + src];
-                }
-            }
-        }
-    }
+    // ur = D_r u, us = D_s u, ut = D_t u.
+    contract_x_core::<NX>(dt, u, &mut scratch.ur);
+    contract_y_core::<NX>(d, u, &mut scratch.us);
+    contract_z_core::<NX>(d, u, &mut scratch.ut);
 
     // Multiply by the geometric factors pointwise.
     for p in 0..NPTS {
@@ -213,50 +187,15 @@ fn ax_element_core<const NX: usize, const NPTS: usize>(
         scratch.shut[p] = g[2][p] * ur + g[4][p] * us + g[5][p] * ut;
     }
 
-    // w = D^T_r shur + D^T_s shus + D^T_t shut.
-    w.iter_mut().for_each(|v| *v = 0.0);
-    for k in 0..NX {
-        for j in 0..NX {
-            let row = j * NX + k * nxy;
-            for i in 0..NX {
-                let mut acc = 0.0;
-                let dtrow = &dt[i * NX..(i + 1) * NX];
-                let srow = &scratch.shur[row..row + NX];
-                for l in 0..NX {
-                    acc += dtrow[l] * srow[l];
-                }
-                w[i + row] = acc;
-            }
-        }
-    }
-    for k in 0..NX {
-        for j in 0..NX {
-            let dtrow = &dt[j * NX..(j + 1) * NX];
-            for l in 0..NX {
-                let dv = dtrow[l];
-                let src = l * NX + k * nxy;
-                let dst = j * NX + k * nxy;
-                for i in 0..NX {
-                    w[i + dst] += dv * scratch.shus[i + src];
-                }
-            }
-        }
-    }
-    for k in 0..NX {
-        let dtrow = &dt[k * NX..(k + 1) * NX];
-        for l in 0..NX {
-            let dv = dtrow[l];
-            let src = l * nxy;
-            let dst = k * nxy;
-            for ij in 0..nxy {
-                w[ij + dst] += dv * scratch.shut[ij + src];
-            }
-        }
-    }
+    // w = D^T_r shur + D^T_s shus + D^T_t shut, accumulated in that order.
+    contract_x_core::<NX>(d, &scratch.shur, w);
+    add_contract_y_core::<NX>(dt, &scratch.shus, w);
+    add_contract_z_core::<NX>(dt, &scratch.shut, w);
 }
 
 /// The whole-field element loop over [`ax_element_core`] (the specialized
 /// mirror of [`crate::optimized::ax_optimized_slices_with`]).
+#[inline(always)]
 fn ax_field_core<const NX: usize, const NPTS: usize>(
     u: &[f64],
     w: &mut [f64],
@@ -290,6 +229,7 @@ fn ax_field_core<const NX: usize, const NPTS: usize>(
 /// accumulates `mt[l][·] · u(l,j,k)` over `l` in a `[f64; NX]` register
 /// row, reading the transpose `mt = mᵀ`, so the inner loop is unit-stride
 /// over `i` and the summation order is that of [`crate::fdm::rcontract_x`].
+#[inline(always)]
 fn contract_x_core<const NX: usize>(mt: &[f64], u: &[f64], out: &mut [f64]) {
     for (urow, orow) in u[..NX * NX * NX]
         .chunks_exact(NX)
@@ -307,34 +247,58 @@ fn contract_x_core<const NX: usize>(mt: &[f64], u: &[f64], out: &mut [f64]) {
 
 /// Square y-contraction with const trip counts (mirrors
 /// [`crate::fdm::rcontract_y`]).
+#[inline(always)]
 fn contract_y_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
-    out[..NX * NX * NX].iter_mut().for_each(|v| *v = 0.0);
-    for k in 0..NX {
-        for j in 0..NX {
-            let mrow = &m[j * NX..(j + 1) * NX];
-            let dst = (j + k * NX) * NX;
-            for (l, &mv) in mrow.iter().enumerate() {
-                let src = (l + k * NX) * NX;
-                for i in 0..NX {
-                    out[dst + i] += mv * u[src + i];
+    out[..NX * NX * NX].fill(0.0);
+    add_contract_y_core::<NX>(m, u, out);
+}
+
+/// `out += (I ⊗ m ⊗ I) u`: the y-contraction accumulated onto `out`.  Each
+/// output row `(·,j,k)` is held in a `[f64; NX]` register row while it
+/// accumulates `m[j][l] · u(·,l,k)` over `l` in order — the summation order
+/// of [`crate::fdm::rcontract_y`] — and the slices are walked in exact
+/// chunks, so the loops carry no bounds checks.
+#[inline(always)]
+fn add_contract_y_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
+    for (uplane, oplane) in u[..NX * NX * NX]
+        .chunks_exact(NX * NX)
+        .zip(out[..NX * NX * NX].chunks_exact_mut(NX * NX))
+    {
+        for (orow, mrow) in oplane
+            .chunks_exact_mut(NX)
+            .zip(m[..NX * NX].chunks_exact(NX))
+        {
+            let mut row = [0.0_f64; NX];
+            row.copy_from_slice(orow);
+            for (&mv, urow) in mrow.iter().zip(uplane.chunks_exact(NX)) {
+                for (o, &uv) in row.iter_mut().zip(urow) {
+                    *o += mv * uv;
                 }
             }
+            orow.copy_from_slice(&row);
         }
     }
 }
 
 /// Square z-contraction with const trip counts (mirrors
 /// [`crate::fdm::rcontract_z`]).
+#[inline(always)]
 fn contract_z_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
-    let plane = NX * NX;
-    out[..plane * NX].iter_mut().for_each(|v| *v = 0.0);
-    for k in 0..NX {
-        let mrow = &m[k * NX..(k + 1) * NX];
-        let dst = k * plane;
-        for (l, &mv) in mrow.iter().enumerate() {
-            let src = l * plane;
-            for p in 0..plane {
-                out[dst + p] += mv * u[src + p];
+    out[..NX * NX * NX].fill(0.0);
+    add_contract_z_core::<NX>(m, u, out);
+}
+
+/// `out += (m ⊗ I ⊗ I) u`: the z-contraction accumulated onto `out`, each
+/// output plane `(·,·,k)` summing `m[k][l] · u(·,·,l)` over `l` in order.
+#[inline(always)]
+fn add_contract_z_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
+    for (oplane, mrow) in out[..NX * NX * NX]
+        .chunks_exact_mut(NX * NX)
+        .zip(m[..NX * NX].chunks_exact(NX))
+    {
+        for (&mv, uplane) in mrow.iter().zip(u[..NX * NX * NX].chunks_exact(NX * NX)) {
+            for (o, &uv) in oplane.iter_mut().zip(uplane) {
+                *o += mv * uv;
             }
         }
     }
@@ -343,6 +307,7 @@ fn contract_z_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
 /// One element's fast-diagonalization solve with const trip counts (mirrors
 /// [`crate::fdm::fdm_element_apply`]: three forward contractions, the modal
 /// scale, three back).
+#[inline(always)]
 fn fdm_element_core<const NX: usize, const NPTS: usize>(
     s: [&[f64]; 3],
     st: [&[f64]; 3],
@@ -371,6 +336,7 @@ fn fdm_element_core<const NX: usize, const NPTS: usize>(
 
 /// Rectangular x-contraction with const row/column counts (the coarse
 /// transfer's mirror of [`crate::fdm::rcontract_x`]); `planes = d2·d3`.
+#[inline(always)]
 fn rc_x_core<const ROWS: usize, const COLS: usize>(
     m: &[f64],
     u: &[f64],
@@ -393,6 +359,7 @@ fn rc_x_core<const ROWS: usize, const COLS: usize>(
 
 /// Rectangular y-contraction with const row/column counts (mirror of
 /// [`crate::fdm::rcontract_y`]).
+#[inline(always)]
 fn rc_y_core<const ROWS: usize, const COLS: usize>(
     m: &[f64],
     u: &[f64],
@@ -417,6 +384,7 @@ fn rc_y_core<const ROWS: usize, const COLS: usize>(
 
 /// Rectangular z-contraction with const row/column counts (mirror of
 /// [`crate::fdm::rcontract_z`]).
+#[inline(always)]
 fn rc_z_core<const ROWS: usize, const COLS: usize>(
     m: &[f64],
     u: &[f64],
@@ -440,6 +408,7 @@ fn rc_z_core<const ROWS: usize, const COLS: usize>(
 
 /// Coarse restriction `t1[..CNX³] = Jᵀ⊗Jᵀ⊗Jᵀ fine` with const trip counts
 /// (mirrors `CoarseCorrection::restrict_local` in `sem-solver`).
+#[inline(always)]
 fn restrict_core<const NX: usize, const CNX: usize>(
     jt: &[f64],
     fine: &[f64],
@@ -453,6 +422,7 @@ fn restrict_core<const NX: usize, const CNX: usize>(
 
 /// Coarse prolongation `t2[..NX³] = J⊗J⊗J t1[..CNX³]` with const trip
 /// counts (`t1` is clobbered; mirrors `CoarseCorrection::prolong_local`).
+#[inline(always)]
 fn prolong_core<const NX: usize, const CNX: usize>(j: &[f64], t1: &mut [f64], t2: &mut [f64]) {
     rc_x_core::<NX, CNX>(j, &t1[..CNX * CNX * CNX], t2, CNX * CNX);
     rc_y_core::<NX, CNX>(j, t2, t1, NX, CNX);
@@ -464,104 +434,41 @@ type FdmFn = fn([&[f64]; 3], [&[f64]; 3], &[f64], &[f64], &mut [f64]);
 type RestrictFn = fn(&[f64], &[f64], &mut [f64], &mut [f64]);
 type ProlongFn = fn(&[f64], &mut [f64], &mut [f64]);
 
-/// The kernel family of one specialized degree, resolved once at session or
-/// backend setup and shared by `Ax`, the FDM fine pass, and the degree-2
-/// coarse transfer.
+/// The kernel family of one specialized degree at one ISA level, resolved
+/// once at session or backend setup and shared by `Ax`, the FDM fine pass,
+/// and the degree-2 coarse transfer.
+///
+/// Only the private `isa` submodule builds values of this type, so the
+/// function pointers of an ISA level can only come from a host that
+/// supports it.
 #[derive(Debug, Clone, Copy)]
 pub struct DegreeDispatch {
     structure: KernelStructure,
+    isa: Isa,
     ax_all: AxAllFn,
     fdm_one: FdmFn,
     restrict3: RestrictFn,
     prolong3: ProlongFn,
 }
 
-macro_rules! specialized_degrees {
-    ($(($module:ident, $degree:literal)),+ $(,)?) => {
-        $(
-            mod $module {
-                use std::cell::RefCell;
-
-                const NX: usize = $degree + 1;
-                const NPTS: usize = NX * NX * NX;
-
-                thread_local! {
-                    /// Per-thread fixed-size scratch, allocated once on first
-                    /// use; every later application is allocation-free.
-                    static SCRATCH: RefCell<Box<super::SpecScratch<NPTS>>> =
-                        RefCell::new(super::SpecScratch::boxed());
-                }
-
-                pub fn ax_all(u: &[f64], w: &mut [f64], g: [&[f64]; 6], d: &[f64], dt: &[f64]) {
-                    SCRATCH.with(|cell| {
-                        let mut scratch = cell.borrow_mut();
-                        super::ax_field_core::<NX, NPTS>(u, w, g, d, dt, &mut scratch);
-                    });
-                }
-
-                pub fn fdm_one(
-                    s: [&[f64]; 3],
-                    st: [&[f64]; 3],
-                    inv: &[f64],
-                    r: &[f64],
-                    z: &mut [f64],
-                ) {
-                    SCRATCH.with(|cell| {
-                        let mut scratch = cell.borrow_mut();
-                        super::fdm_element_core::<NX, NPTS>(s, st, inv, r, z, &mut scratch);
-                    });
-                }
-
-                pub fn restrict3(jt: &[f64], fine: &[f64], t1: &mut [f64], t2: &mut [f64]) {
-                    super::restrict_core::<NX, { super::COARSE_POINTS }>(jt, fine, t1, t2);
-                }
-
-                pub fn prolong3(j: &[f64], t1: &mut [f64], t2: &mut [f64]) {
-                    super::prolong_core::<NX, { super::COARSE_POINTS }>(j, t1, t2);
-                }
-            }
-        )+
-
-        impl DegreeDispatch {
-            /// Resolve the specialized kernel family for `degree`, or `None`
-            /// when the degree is outside `MIN_DEGREE..=MAX_DEGREE` (callers
-            /// fall back to the generic kernels).
-            #[must_use]
-            pub fn for_degree(degree: usize) -> Option<Self> {
-                match degree {
-                    $(
-                        $degree => Some(Self {
-                            structure: KernelStructure::for_points($degree + 1),
-                            ax_all: $module::ax_all,
-                            fdm_one: $module::fdm_one,
-                            restrict3: $module::restrict3,
-                            prolong3: $module::prolong3,
-                        }),
-                    )+
-                    _ => None,
-                }
-            }
-        }
-    };
-}
-
-specialized_degrees!(
-    (n3, 3),
-    (n4, 4),
-    (n5, 5),
-    (n6, 6),
-    (n7, 7),
-    (n8, 8),
-    (n9, 9),
-    (n10, 10),
-    (n11, 11),
-    (n12, 12),
-    (n13, 13),
-    (n14, 14),
-    (n15, 15),
-);
-
 impl DegreeDispatch {
+    /// Resolve the specialized kernel family for `degree` at the best ISA
+    /// level this host supports ([`Isa::detected`]), or `None` when the
+    /// degree is outside `MIN_DEGREE..=MAX_DEGREE` (callers fall back to the
+    /// generic kernels).
+    #[must_use]
+    pub fn for_degree(degree: usize) -> Option<Self> {
+        isa::dispatch(degree, Isa::detected())
+    }
+
+    /// [`Self::for_degree`] at a chosen ISA level; `None` also when this
+    /// host lacks the level.  Crate-private: the parity tests reach every
+    /// level through it, and production always takes the detected one.
+    #[cfg(test)]
+    pub(crate) fn for_degree_at(degree: usize, level: Isa) -> Option<Self> {
+        isa::dispatch(degree, level)
+    }
+
     /// Whether a specialized kernel family exists for `degree`.
     #[must_use]
     pub fn covers(degree: usize) -> bool {
@@ -572,6 +479,12 @@ impl DegreeDispatch {
     #[must_use]
     pub fn structure(&self) -> KernelStructure {
         self.structure
+    }
+
+    /// The instruction-set level the family's kernels were compiled for.
+    #[must_use]
+    pub fn isa(&self) -> Isa {
+        self.isa
     }
 
     /// Polynomial degree the family is specialized for.
@@ -588,7 +501,8 @@ impl DegreeDispatch {
 
     /// Apply `w = Dᵀ G D u` over every element of a field (the specialized
     /// mirror of [`crate::optimized::ax_optimized_slices`]; bitwise
-    /// identical results).
+    /// identical results when `dt` is exactly `dᵀ`, as
+    /// `sem_basis::DerivativeMatrix` provides).
     ///
     /// # Panics
     /// Panics if the field length is not a multiple of `(N+1)³` or any
@@ -662,12 +576,24 @@ mod tests {
         assert_eq!(kernel_structure(16), None);
     }
 
+    /// The ISA levels this host supports, reporting the ones it lacks (their
+    /// parity is then unchecked here, not passed).
+    fn supported_levels() -> Vec<Isa> {
+        let (supported, missing): (Vec<Isa>, Vec<Isa>) =
+            Isa::ALL.into_iter().partition(|level| level.is_supported());
+        for level in missing {
+            println!("skipping ISA level {}: this host lacks it", level.name());
+        }
+        supported
+    }
+
     #[test]
     fn dispatch_resolves_exactly_the_specialized_range() {
         for degree in MIN_DEGREE..=MAX_DEGREE {
             let d = DegreeDispatch::for_degree(degree).unwrap();
             assert_eq!(d.degree(), degree);
             assert_eq!(d.points(), degree + 1);
+            assert_eq!(d.isa(), Isa::detected());
             assert!(DegreeDispatch::covers(degree));
         }
         assert!(DegreeDispatch::for_degree(2).is_none());
@@ -675,8 +601,27 @@ mod tests {
     }
 
     #[test]
-    fn specialized_ax_is_bitwise_identical_to_the_generic_kernel() {
-        for degree in [3_usize, 7, 10] {
+    fn detection_picks_the_widest_supported_level() {
+        let detected = Isa::detected();
+        assert!(detected.is_supported());
+        assert!(Isa::Baseline.is_supported());
+        for level in Isa::ALL {
+            assert_eq!(
+                DegreeDispatch::for_degree_at(7, level).map(|d| d.isa()),
+                level.is_supported().then_some(level),
+                "{}",
+                level.name()
+            );
+            if level > detected {
+                assert!(!level.is_supported(), "{} is wider", level.name());
+            }
+        }
+    }
+
+    #[test]
+    fn every_level_and_degree_of_ax_is_bitwise_identical_to_the_generic_kernel() {
+        let levels = supported_levels();
+        for degree in MIN_DEGREE..=MAX_DEGREE {
             let mesh = BoxMesh::new(
                 degree,
                 [2, 1, 1],
@@ -696,18 +641,21 @@ mod tests {
             ];
             let u = random_field(mesh.num_local_dofs(), degree as u64);
             let mut w_gen = vec![0.0; u.len()];
-            let mut w_spec = vec![0.0; u.len()];
             let mut scratch = AxScratch::default();
             ax_optimized_slices_with(&u, &mut w_gen, g, &dm, &mut scratch);
-            let dispatch = DegreeDispatch::for_degree(degree).unwrap();
-            dispatch.ax_apply_all(&u, &mut w_spec, g, dm.d().as_slice(), dm.dt().as_slice());
-            assert_eq!(w_gen, w_spec, "degree {degree}");
+            for &level in &levels {
+                let mut w_spec = vec![f64::NAN; u.len()];
+                let dispatch = DegreeDispatch::for_degree_at(degree, level).unwrap();
+                dispatch.ax_apply_all(&u, &mut w_spec, g, dm.d().as_slice(), dm.dt().as_slice());
+                assert_eq!(w_gen, w_spec, "degree {degree}, {}", level.name());
+            }
         }
     }
 
     #[test]
-    fn specialized_fdm_is_bitwise_identical_to_the_generic_kernel() {
-        for degree in [3_usize, 7, 12] {
+    fn every_level_and_degree_of_fdm_is_bitwise_identical_to_the_generic_kernel() {
+        let levels = supported_levels();
+        for degree in MIN_DEGREE..=MAX_DEGREE {
             let nx = degree + 1;
             let npts = nx * nx * nx;
             let sx = random_field(nx * nx, 1);
@@ -722,7 +670,6 @@ mod tests {
             let inv = random_field(npts, 7);
             let r = random_field(npts, 8);
             let mut z_gen = vec![0.0; npts];
-            let mut z_spec = vec![0.0; npts];
             let mut scratch = FdmScratch::default();
             fdm_element_apply(
                 [&sx, &sy, &sz],
@@ -733,15 +680,25 @@ mod tests {
                 nx,
                 &mut scratch,
             );
-            let dispatch = DegreeDispatch::for_degree(degree).unwrap();
-            dispatch.fdm_element_apply([&sx, &sy, &sz], [&stx, &sty, &stz], &inv, &r, &mut z_spec);
-            assert_eq!(z_gen, z_spec, "degree {degree}");
+            for &level in &levels {
+                let mut z_spec = vec![f64::NAN; npts];
+                let dispatch = DegreeDispatch::for_degree_at(degree, level).unwrap();
+                dispatch.fdm_element_apply(
+                    [&sx, &sy, &sz],
+                    [&stx, &sty, &stz],
+                    &inv,
+                    &r,
+                    &mut z_spec,
+                );
+                assert_eq!(z_gen, z_spec, "degree {degree}, {}", level.name());
+            }
         }
     }
 
     #[test]
-    fn specialized_coarse_transfer_matches_the_generic_contractions() {
-        for degree in [3_usize, 7, 15] {
+    fn every_level_and_degree_of_the_coarse_transfer_matches_the_generic_contractions() {
+        let levels = supported_levels();
+        for degree in MIN_DEGREE..=MAX_DEGREE {
             let nx = degree + 1;
             let cnx = COARSE_POINTS;
             let npts = nx * nx * nx;
@@ -757,7 +714,6 @@ mod tests {
                 t
             };
             let fine = random_field(npts, 22);
-            let dispatch = DegreeDispatch::for_degree(degree).unwrap();
 
             // Restriction.
             let (mut t1g, mut t2g) = (vec![0.0; npts], vec![0.0; npts]);
@@ -765,35 +721,32 @@ mod tests {
             rcontract_y(&jt, cnx, nx, &t1g.clone(), &mut t2g, cnx, nx);
             let t2snap = t2g.clone();
             rcontract_z(&jt, cnx, nx, &t2snap, &mut t1g, cnx, cnx);
-            let (mut t1s, mut t2s) = (vec![0.0; npts], vec![0.0; npts]);
-            dispatch.coarse_restrict(&jt, &fine, &mut t1s, &mut t2s);
-            assert_eq!(
-                t1g[..cnx * cnx * cnx],
-                t1s[..cnx * cnx * cnx],
-                "degree {degree}"
-            );
+            let coarse = t1g[..cnx * cnx * cnx].to_vec();
 
             // Prolongation of the restricted coefficients.
-            let coarse = t1g[..cnx * cnx * cnx].to_vec();
             let (mut p1g, mut p2g) = (vec![0.0; npts], vec![0.0; npts]);
-            p1g[..coarse.len()].copy_from_slice(&coarse);
-            rcontract_x(
-                &j,
-                nx,
-                cnx,
-                &p1g.clone()[..cnx * cnx * cnx],
-                &mut p2g,
-                cnx,
-                cnx,
-            );
+            rcontract_x(&j, nx, cnx, &coarse, &mut p2g, cnx, cnx);
             let p2snap = p2g.clone();
             rcontract_y(&j, nx, cnx, &p2snap, &mut p1g, nx, cnx);
             let p1snap = p1g.clone();
             rcontract_z(&j, nx, cnx, &p1snap, &mut p2g, nx, nx);
-            let (mut p1s, mut p2s) = (vec![0.0; npts], vec![0.0; npts]);
-            p1s[..coarse.len()].copy_from_slice(&coarse);
-            dispatch.coarse_prolong(&j, &mut p1s, &mut p2s);
-            assert_eq!(p2g, p2s, "degree {degree}");
+
+            for &level in &levels {
+                let dispatch = DegreeDispatch::for_degree_at(degree, level).unwrap();
+                let (mut t1s, mut t2s) = (vec![f64::NAN; npts], vec![f64::NAN; npts]);
+                dispatch.coarse_restrict(&jt, &fine, &mut t1s, &mut t2s);
+                assert_eq!(
+                    coarse,
+                    t1s[..cnx * cnx * cnx],
+                    "restrict, degree {degree}, {}",
+                    level.name()
+                );
+
+                let (mut p1s, mut p2s) = (vec![f64::NAN; npts], vec![f64::NAN; npts]);
+                p1s[..coarse.len()].copy_from_slice(&coarse);
+                dispatch.coarse_prolong(&j, &mut p1s, &mut p2s);
+                assert_eq!(p2g, p2s, "prolong, degree {degree}, {}", level.name());
+            }
         }
     }
 }

@@ -124,6 +124,21 @@ fn panic_audit_accepts_forbid_and_justified_waiver() {
 }
 
 #[test]
+fn panic_audit_accepts_deny_only_under_a_plain_justifying_comment() {
+    let stance = |source: &str| {
+        let (file, _) = SourceFile::parse("crates/foo/src/lib.rs".to_string(), source);
+        lines_of(
+            &panic_audit::run(std::slice::from_ref(&file)),
+            "panic-audit",
+        )
+    };
+    // The form `sem-kernel` uses for its run-time ISA dispatch.
+    assert!(stance("//! Docs.\n// why forbid cannot hold\n#![deny(unsafe_code)]\n").is_empty());
+    assert_eq!(stance("//! Docs.\n#![deny(unsafe_code)]\n"), vec![1]);
+    assert_eq!(stance("#![deny(unsafe_code)]\n"), vec![1]);
+}
+
+#[test]
 fn panic_audit_ignores_non_crate_roots_for_the_attribute_rule() {
     let (file, _) = parse("crates/foo/src/worker.rs", "panic_bad.rs");
     let findings = panic_audit::run(std::slice::from_ref(&file));

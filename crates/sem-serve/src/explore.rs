@@ -1,10 +1,11 @@
 //! Loom-style bounded schedule exploration of the work-stealing host.
 //!
 //! The vendored crossbeam primitives route every queue operation through
-//! [`crossbeam::sched::yield_point`]; this module installs a [`Scheduler`]
-//! that *serializes* the worker pool of [`run_stealing`]: every controlled
-//! thread parks at each yield point, and a central arbiter picks which
-//! thread runs next.  The whole interleaving then becomes a pure function of
+//! `crossbeam::sched::yield_point`; this module hands a [`Scheduler`] to the
+//! worker pool of a [`run_stealing`](crate::steal::run_stealing) run it
+//! owns, and the scheduler *serializes* that pool: every controlled thread
+//! parks at each yield point, and a central arbiter picks which thread runs
+//! next.  The whole interleaving then becomes a pure function of
 //! the arbiter's choice sequence, which makes schedules **replayable** and
 //! **enumerable**:
 //!
@@ -29,10 +30,11 @@
 //!
 //! Cases carrying a fault schedule ([`ExploreCase::fatal_workers`] /
 //! [`ExploreCase::retry_once`]) drive the *tolerant* host
-//! ([`run_stealing_tolerant`]) instead, and the contract becomes **job
-//! conservation under failure**: every job is delivered exactly once or
-//! handed back, dying workers drain their deques, retries are counted
-//! exactly, and hand-back happens only when the whole pool is dead.
+//! ([`run_stealing_tolerant`](crate::steal::run_stealing_tolerant))
+//! instead, and the contract becomes **job conservation under failure**:
+//! every job is delivered exactly once or handed back, dying workers drain
+//! their deques, retries are counted exactly, and hand-back happens only
+//! when the whole pool is dead.
 //!
 //! Alongside the pass/fail verdict, each [`CaseReport`] carries a coverage
 //! map over [`SchedOp`] pair transitions — the distinct ordered pairs of
@@ -41,18 +43,18 @@
 //! count saturates, which is the signal that a seeded walk has stopped
 //! finding genuinely new operation orderings.
 //!
-//! Exploration is process-global (the scheduler hook is), so explorer
-//! entry points serialize on an internal lock, and only threads spawned by
-//! [`run_stealing`] register for control — concurrent uncontrolled threads
-//! are unaffected.  Use the `SEM_SCHED_ITERS` environment variable (read by
+//! The scheduler is passed to the explored run explicitly, so only that
+//! run's workers register for control: explorations and ordinary stealing
+//! runs in the same process proceed side by side without touching each
+//! other.  Use the `SEM_SCHED_ITERS` environment variable (read by
 //! the `sem-lint` binary and the integration smoke test) to bound the
 //! schedule budget in constrained environments.
 
 use crate::steal::{
-    run_stealing, run_stealing_tolerant, run_stealing_tolerant_with_feeder,
-    run_stealing_with_feeder, JobVerdict, StealRun, TaggedJob, TolerantRun,
+    run_stealing_controlled, run_tolerant_controlled, FeederHandle, JobVerdict, StealRun,
+    TaggedJob, TolerantFeederHandle, TolerantRun,
 };
-use crossbeam::sched::{self, SchedOp, Scheduler};
+use crossbeam::sched::{SchedOp, Scheduler};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -94,8 +96,9 @@ pub struct ExploreCase {
     /// Fault schedule: workers whose device is dead — each returns
     /// [`crate::steal::JobVerdict::Fatal`] on the first job it touches and
     /// retires, draining its deque back to the injector.  Non-empty fault
-    /// fields route the case through [`run_stealing_tolerant`] and the
-    /// tolerant contract checks (conservation under failure) instead of
+    /// fields route the case through
+    /// [`run_stealing_tolerant`](crate::steal::run_stealing_tolerant) and
+    /// the tolerant contract checks (conservation under failure) instead of
     /// the plain host's ordering checks.
     pub fatal_workers: Vec<usize>,
     /// Fault schedule: payloads that fail recoverably
@@ -233,9 +236,6 @@ fn json_string(value: &str) -> String {
     out.push('"');
     out
 }
-
-/// Serializes explorer entry points: the schedule hook is process-global.
-static EXPLORE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Ceiling on scheduling decisions per run; `run_stealing` on the standard
 /// cases needs a few dozen, so hitting this means a livelock.
@@ -464,23 +464,13 @@ impl Scheduler for StepScheduler {
     }
 }
 
-/// Uninstalls the scheduler (releasing any parked thread first) even when a
-/// run unwinds, so one failed schedule cannot wedge the process.
-struct Installed {
-    scheduler: Arc<StepScheduler>,
-}
+/// Releases every parked thread when dropped, even when a run unwinds, so
+/// one failed schedule cannot wedge its pool.
+struct ReleaseOnDrop(Arc<StepScheduler>);
 
-impl Installed {
-    fn new(scheduler: Arc<StepScheduler>) -> Self {
-        sched::install(Arc::clone(&scheduler) as Arc<dyn Scheduler>);
-        Self { scheduler }
-    }
-}
-
-impl Drop for Installed {
+impl Drop for ReleaseOnDrop {
     fn drop(&mut self) {
-        self.scheduler.release_all();
-        sched::uninstall();
+        self.0.release_all();
     }
 }
 
@@ -509,32 +499,24 @@ fn run_one(
         case.contention,
         max_steps,
     ));
-    let installed = Installed::new(Arc::clone(&scheduler));
+    let control = Arc::clone(&scheduler) as Arc<dyn Scheduler>;
+    let release = ReleaseOnDrop(Arc::clone(&scheduler));
     let states: Vec<Vec<usize>> = vec![Vec::new(); case.workers];
     let execute = |_: usize, log: &mut Vec<usize>, payload: usize| {
         log.push(payload);
         payload
     };
-    let run = if case.feeder_jobs > 0 {
-        let base = case.hints.len();
-        let fed = case.feeder_jobs;
-        run_stealing_with_feeder(
-            states,
-            case.jobs(),
-            |feeder| {
-                for payload in base..base + fed {
-                    feeder.push(payload);
-                    // Let workers drain between arrivals so some pushes
-                    // genuinely race live sweeps.
-                    std::thread::yield_now();
-                }
-            },
-            execute,
-        )
-    } else {
-        run_stealing(states, case.jobs(), execute)
-    };
-    drop(installed);
+    let fed = case.hints.len()..case.total_jobs();
+    let feeder = (!fed.is_empty()).then_some(|feeder: &FeederHandle<'_, usize>| {
+        for payload in fed {
+            feeder.push(payload);
+            // Let workers drain between arrivals so some pushes genuinely
+            // race live sweeps.
+            std::thread::yield_now();
+        }
+    });
+    let run = run_stealing_controlled(Some(&control), states, case.jobs(), feeder, execute);
+    drop(release);
     let s = lock_poison_free(&scheduler.state);
     let record = RunRecord {
         script: s.script.clone(),
@@ -568,7 +550,8 @@ fn run_one_tolerant(
         case.contention,
         max_steps,
     ));
-    let installed = Installed::new(Arc::clone(&scheduler));
+    let control = Arc::clone(&scheduler) as Arc<dyn Scheduler>;
+    let release = ReleaseOnDrop(Arc::clone(&scheduler));
     let states: Vec<Vec<usize>> = vec![Vec::new(); case.workers];
     let attempts: Vec<AtomicUsize> = (0..case.total_jobs())
         .map(|_| AtomicUsize::new(0))
@@ -585,24 +568,15 @@ fn run_one_tolerant(
         log.push(payload);
         JobVerdict::Done(payload)
     };
-    let run = if case.feeder_jobs > 0 {
-        let base = case.hints.len();
-        let fed = case.feeder_jobs;
-        run_stealing_tolerant_with_feeder(
-            states,
-            case.jobs(),
-            |feeder| {
-                for payload in base..base + fed {
-                    feeder.push(payload);
-                    std::thread::yield_now();
-                }
-            },
-            execute,
-        )
-    } else {
-        run_stealing_tolerant(states, case.jobs(), execute)
-    };
-    drop(installed);
+    let fed = case.hints.len()..case.total_jobs();
+    let feeder = (!fed.is_empty()).then_some(|feeder: &TolerantFeederHandle<'_, usize>| {
+        for payload in fed {
+            feeder.push(payload);
+            std::thread::yield_now();
+        }
+    });
+    let run = run_tolerant_controlled(Some(&control), states, case.jobs(), feeder, execute);
+    drop(release);
     let s = lock_poison_free(&scheduler.state);
     let record = RunRecord {
         script: s.script.clone(),
@@ -848,10 +822,9 @@ fn next_script(mut script: Vec<usize>, mut arity: Vec<usize>) -> Option<Vec<usiz
 ///
 /// # Panics
 /// Panics if the case has no workers or a hint is out of range (mirroring
-/// [`run_stealing`]'s own contract).
+/// [`run_stealing`](crate::steal::run_stealing)'s own contract).
 #[must_use]
 pub fn explore_case(case: &ExploreCase, strategy: Strategy, budget: usize) -> CaseReport {
-    let _exclusive = lock_poison_free(&EXPLORE_LOCK);
     let mut report = CaseReport {
         name: case.name,
         workers: case.workers,
@@ -1183,8 +1156,6 @@ mod tests {
         // pre-fix loop restarted at `WorkerPop` instead.
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        let _exclusive = lock_poison_free(&EXPLORE_LOCK);
-
         struct RetryProbe {
             ops: Mutex<Vec<(usize, SchedOp)>>,
             retries_left: AtomicUsize,
@@ -1213,22 +1184,23 @@ mod tests {
             ops: Mutex::new(Vec::new()),
             retries_left: AtomicUsize::new(FORCED_RETRIES),
         });
-        sched::install(Arc::clone(&probe) as Arc<dyn Scheduler>);
+        let control = Arc::clone(&probe) as Arc<dyn Scheduler>;
         let jobs: Vec<TaggedJob<usize>> = (0..2)
             .map(|payload| TaggedJob {
                 payload,
                 hint: Some(1),
             })
             .collect();
-        let run = run_stealing(
+        let run = run_stealing_controlled(
+            Some(&control),
             vec![Vec::new(); 2],
             jobs,
+            None::<fn(&FeederHandle<'_, usize>)>,
             |_, log: &mut Vec<usize>, payload| {
                 log.push(payload);
                 payload
             },
         );
-        sched::uninstall();
         assert_eq!(run.completed.len(), 2, "conservation under forced retries");
 
         let ops = lock_poison_free(&probe.ops);
@@ -1257,6 +1229,50 @@ mod tests {
                  probe, not restart the sweep at its own deque: {w0:?}"
             );
         }
+    }
+
+    #[test]
+    fn an_exploration_and_a_plain_stealing_run_proceed_side_by_side() {
+        // Regression: the scheduler used to be a process-global hook, so the
+        // workers of a plain `run_stealing` that overlapped an exploration
+        // registered with the explorer's arbiter, which then indexed past
+        // its pool or parked them forever.  Both start behind one barrier so
+        // they overlap.
+        use crate::steal::run_stealing;
+        use std::sync::Barrier;
+
+        let case = ExploreCase {
+            name: "concurrent-smoke",
+            workers: 2,
+            hints: vec![Some(0), Some(0), None, Some(1)],
+            feeder_jobs: 0,
+            contention: 0,
+            fatal_workers: Vec::new(),
+            retry_once: Vec::new(),
+        };
+        let start = Barrier::new(2);
+        let report = std::thread::scope(|scope| {
+            let explorer = scope.spawn(|| {
+                start.wait();
+                explore_case(&case, Strategy::Seeded(11), 64)
+            });
+            start.wait();
+            for round in 0..32 {
+                let jobs: Vec<TaggedJob<usize>> = (0..40)
+                    .map(|payload| TaggedJob {
+                        payload,
+                        hint: (payload % 3 != 0).then_some(payload % 4),
+                    })
+                    .collect();
+                let run = run_stealing(vec![(); 4], jobs, |_, (), payload| payload);
+                let mut done: Vec<usize> = run.completed.iter().map(|c| c.result).collect();
+                done.sort_unstable();
+                assert_eq!(done, (0..40).collect::<Vec<_>>(), "round {round}");
+            }
+            explorer.join().expect("explorer thread")
+        });
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.schedules, 64);
     }
 
     #[test]

@@ -46,8 +46,10 @@
 
 use crossbeam::channel;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use crossbeam::sched::Scheduler;
 use sem_obs::{recorder, Scope, SpanEvent, SpanKind, WallTimer};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One job plus the scheduling hint it was admitted with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,7 +183,13 @@ where
     R: Send,
     F: Fn(usize, &mut S, T) -> R + Sync,
 {
-    run_stealing_inner(states, jobs, None::<fn(&FeederHandle<'_, T>)>, execute)
+    run_stealing_controlled(
+        None,
+        states,
+        jobs,
+        None::<fn(&FeederHandle<'_, T>)>,
+        execute,
+    )
 }
 
 /// Like [`run_stealing`], but with a live feeder: `feeder` runs on the
@@ -206,10 +214,15 @@ where
     F: Fn(usize, &mut S, T) -> R + Sync,
     G: FnOnce(&FeederHandle<'_, T>),
 {
-    run_stealing_inner(states, jobs, Some(feeder), execute)
+    run_stealing_controlled(None, states, jobs, Some(feeder), execute)
 }
 
-fn run_stealing_inner<T, S, R, F, G>(
+/// The plain stealing run behind [`run_stealing`] and
+/// [`run_stealing_with_feeder`].  `scheduler` is the schedule controller
+/// every worker of *this* pool registers with — `Some` only for the
+/// explorer's runs (`crate::explore`), `None` everywhere else.
+pub(crate) fn run_stealing_controlled<T, S, R, F, G>(
+    scheduler: Option<&Arc<dyn Scheduler>>,
     states: Vec<S>,
     jobs: Vec<TaggedJob<T>>,
     feeder: Option<G>,
@@ -253,9 +266,9 @@ where
             let feeder_done = &feeder_done;
             // lint: no-panic (a worker panic strands sibling deques mid-run)
             handles.push(scope.spawn(move || {
-                // Registers this thread with a schedule explorer when one is
-                // installed (`sem_serve::explore`); inert in production.
-                let _control = crossbeam::sched::controlled(index);
+                // Registers this thread with the explorer's scheduler when
+                // the run was handed one; inert in production.
+                let _control = crossbeam::sched::controlled(index, scheduler);
                 let mut busy_wall_seconds = 0.0;
                 let mut executed_jobs = 0;
                 let mut steals = 0;
@@ -438,7 +451,8 @@ where
     R: Send,
     F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
 {
-    run_tolerant_inner(
+    run_tolerant_controlled(
+        None,
         states,
         jobs,
         None::<fn(&TolerantFeederHandle<'_, T>)>,
@@ -467,10 +481,14 @@ where
     F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
     G: FnOnce(&TolerantFeederHandle<'_, T>),
 {
-    run_tolerant_inner(states, jobs, Some(feeder), execute)
+    run_tolerant_controlled(None, states, jobs, Some(feeder), execute)
 }
 
-fn run_tolerant_inner<T, S, R, F, G>(
+/// The tolerant run behind [`run_stealing_tolerant`] and
+/// [`run_stealing_tolerant_with_feeder`]; `scheduler` as in
+/// [`run_stealing_controlled`].
+pub(crate) fn run_tolerant_controlled<T, S, R, F, G>(
+    scheduler: Option<&Arc<dyn Scheduler>>,
     states: Vec<S>,
     jobs: Vec<TaggedJob<T>>,
     feeder: Option<G>,
@@ -519,7 +537,7 @@ where
             let requeued_on_death = &requeued_on_death;
             // lint: no-panic (a worker panic strands sibling deques mid-run)
             handles.push(scope.spawn(move || {
-                let _control = crossbeam::sched::controlled(index);
+                let _control = crossbeam::sched::controlled(index, scheduler);
                 let mut busy_wall_seconds = 0.0;
                 let mut executed_jobs = 0;
                 let mut steals = 0;
@@ -976,18 +994,24 @@ mod tests {
     fn a_dying_worker_drains_its_deque_and_nothing_is_lost() {
         // Everything is hinted to worker 0, which dies on its first job.
         // Its in-flight job and its whole deque must flow back through the
-        // injector to the survivors.
+        // injector to the survivors.  Every worker's first job waits at a
+        // barrier, so the survivors (holding one stolen job each) cannot
+        // drain the deque before worker 0 takes a job and dies.
         let jobs: Vec<TaggedJob<usize>> = (0..30)
             .map(|i| TaggedJob {
                 payload: i,
                 hint: Some(0),
             })
             .collect();
+        let first_jobs = std::sync::Barrier::new(3);
         let run = run_stealing_tolerant(
-            vec![0usize, 1, 2],
+            vec![false; 3],
             jobs,
-            |_, me: &mut usize, payload: usize| {
-                if *me == 0 {
+            |worker, started: &mut bool, payload: usize| {
+                if !std::mem::replace(started, true) {
+                    first_jobs.wait();
+                }
+                if worker == 0 {
                     JobVerdict::Fatal(payload)
                 } else {
                     JobVerdict::Done(payload)

@@ -507,7 +507,20 @@ impl FdmPreconditioner {
                 t1[..cpts].iter_mut().for_each(|v| *v = 0.0);
                 t1[w_local] = 1.0;
                 let p_w = coarse.prolong_local(&mut t1, &mut t2, nx);
-                sem_kernel::optimized::ax_element_split(p_w, &mut y, g, d, dt, nx, &mut ax_scratch);
+                // One element is a one-element field for the specialized
+                // family (bitwise equal to the generic element kernel).
+                match &coarse.dispatch {
+                    Some(dispatch) => dispatch.ax_apply_all(p_w, &mut y, g, d, dt),
+                    None => sem_kernel::optimized::ax_element_split(
+                        p_w,
+                        &mut y,
+                        g,
+                        d,
+                        dt,
+                        nx,
+                        &mut ax_scratch,
+                    ),
+                }
                 coarse.restrict_local(&y, nx, &mut t1, &mut t2);
                 for (v_local, &v) in coarse.element_dofs[e].iter().enumerate() {
                     if v >= 0 {

@@ -1,21 +1,20 @@
 //! A pluggable schedule hook for systematic concurrency testing.
 //!
 //! Every queue operation in [`crate::deque`] and [`crate::channel`] passes
-//! through [`yield_point`] before it touches shared state.  In production no
-//! scheduler is installed and the call is a single relaxed atomic load — the
-//! hook exists so a loom-style explorer (see `sem_serve::explore`) can
-//! serialize a pool of worker threads and drive them through chosen
-//! interleavings: each *controlled* thread parks at every yield point until
-//! the installed [`Scheduler`] grants it the next step.
+//! through [`yield_point`] before it touches shared state.  A loom-style
+//! explorer (see `sem_serve::explore`) hands its [`Scheduler`] to the pool
+//! it owns, and each worker of that pool registers with [`controlled`]:
+//! from then on the thread parks at every yield point until the scheduler
+//! grants it the next step, so the explorer can serialize the pool and
+//! drive it through chosen interleavings.
 //!
-//! Threads opt in explicitly with [`controlled`]; uncontrolled threads (the
-//! caller that seeds queues, unrelated tests in the same process) pass
-//! through untouched, so installing a scheduler perturbs only the pool under
-//! test.
+//! There is no process-wide hook: registration is per thread and names its
+//! scheduler explicitly.  Threads of any other pool — production runs,
+//! unrelated tests in the same process — never register, and their yield
+//! points cost one thread-local check.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The shared-state operation a controlled thread is about to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,63 +86,31 @@ pub trait Scheduler: Send + Sync {
     }
 }
 
-/// Fast-path flag: true only while a scheduler is installed.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// The installed scheduler.  Guarded by a mutex only on install/uninstall
-/// and thread registration — yield points use the thread-local clone.
-static INSTALLED: Mutex<Option<Arc<dyn Scheduler>>> = Mutex::new(None);
-
 thread_local! {
-    /// This thread's control registration: its pool index plus a clone of
-    /// the scheduler it registered with (so yield points never take the
-    /// global lock).
+    /// This thread's control registration: its pool index plus the
+    /// scheduler it was handed.
     static CONTROL: RefCell<Option<(usize, Arc<dyn Scheduler>)>> = const { RefCell::new(None) };
 }
 
-/// Install `scheduler` as the process-wide schedule controller.
+/// Register the calling thread as pool member `index` of `scheduler` for
+/// the lifetime of the returned guard.  With `None` — every pool that no
+/// explorer owns — the guard is inert.
 ///
 /// # Panics
-/// Panics if a scheduler is already installed — explorers must serialize
-/// (and [`uninstall`]) their runs.
-pub fn install(scheduler: Arc<dyn Scheduler>) {
-    let mut slot = INSTALLED.lock().expect("scheduler slot poisoned");
-    assert!(
-        slot.is_none(),
-        "a schedule controller is already installed; explorer runs must not overlap"
-    );
-    *slot = Some(scheduler);
-    ACTIVE.store(true, Ordering::SeqCst);
-}
-
-/// Remove the installed scheduler (no-op when none is installed).
-pub fn uninstall() {
-    let mut slot = INSTALLED.lock().expect("scheduler slot poisoned");
-    ACTIVE.store(false, Ordering::SeqCst);
-    *slot = None;
-}
-
-/// Register the calling thread as controlled pool member `index` for the
-/// lifetime of the returned guard.  Inert (and nearly free) when no
-/// scheduler is installed.
+/// Panics if the thread is already registered (a controlled thread belongs
+/// to exactly one pool).
 #[must_use]
-pub fn controlled(index: usize) -> ControlGuard {
-    if !ACTIVE.load(Ordering::SeqCst) {
+pub fn controlled(index: usize, scheduler: Option<&Arc<dyn Scheduler>>) -> ControlGuard {
+    let Some(scheduler) = scheduler else {
         return ControlGuard { registered: false };
-    }
-    let scheduler = INSTALLED
-        .lock()
-        .expect("scheduler slot poisoned")
-        .as_ref()
-        .map(Arc::clone);
-    match scheduler {
-        Some(scheduler) => {
-            CONTROL.with(|cell| *cell.borrow_mut() = Some((index, Arc::clone(&scheduler))));
-            scheduler.thread_started(index);
-            ControlGuard { registered: true }
-        }
-        None => ControlGuard { registered: false },
-    }
+    };
+    CONTROL.with(|cell| {
+        let mut slot = cell.borrow_mut();
+        assert!(slot.is_none(), "thread is already under schedule control");
+        *slot = Some((index, Arc::clone(scheduler)));
+    });
+    scheduler.thread_started(index);
+    ControlGuard { registered: true }
 }
 
 /// RAII registration of a controlled thread (see [`controlled`]).
@@ -165,57 +132,37 @@ impl Drop for ControlGuard {
     }
 }
 
-/// The instrumentation point every queue operation passes through.  A single
-/// relaxed load when no scheduler is installed; a scheduling decision when
-/// the calling thread is controlled.
-#[inline]
-pub(crate) fn yield_point(op: SchedOp) {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    yield_point_slow(op);
-}
-
-#[cold]
-fn yield_point_slow(op: SchedOp) {
-    let control = CONTROL.with(|cell| {
+/// This thread's registration, if it is controlled.
+fn control() -> Option<(usize, Arc<dyn Scheduler>)> {
+    CONTROL.with(|cell| {
         cell.borrow()
             .as_ref()
             .map(|(index, scheduler)| (*index, Arc::clone(scheduler)))
-    });
-    if let Some((index, scheduler)) = control {
+    })
+}
+
+/// The instrumentation point every queue operation passes through: a
+/// scheduling decision when the calling thread is controlled, nothing
+/// otherwise.
+#[inline]
+pub(crate) fn yield_point(op: SchedOp) {
+    if let Some((index, scheduler)) = control() {
         scheduler.yield_point(index, op);
     }
 }
 
-/// Ask the installed scheduler whether the steal `op` the calling thread is
-/// about to perform should fail with simulated contention.  Always false in
-/// production (no scheduler installed) and for uncontrolled threads.
+/// Ask the calling thread's scheduler whether the steal `op` it is about to
+/// perform should fail with simulated contention.  Always false for
+/// uncontrolled threads.
 #[inline]
 pub(crate) fn simulate_contention(op: SchedOp) -> bool {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return false;
-    }
-    simulate_contention_slow(op)
-}
-
-#[cold]
-fn simulate_contention_slow(op: SchedOp) -> bool {
-    let control = CONTROL.with(|cell| {
-        cell.borrow()
-            .as_ref()
-            .map(|(index, scheduler)| (*index, Arc::clone(scheduler)))
-    });
-    match control {
-        Some((index, scheduler)) => scheduler.steal_contended(index, op),
-        None => false,
-    }
+    control().is_some_and(|(index, scheduler)| scheduler.steal_contended(index, op))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A recorder that never blocks: counts events per phase.
     struct Recorder {
@@ -236,15 +183,10 @@ mod tests {
         }
     }
 
-    /// Serializes the two tests below: both touch the process-global
-    /// installed-scheduler slot.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn uncontrolled_threads_pass_through_without_a_scheduler() {
-        let _serial = TEST_LOCK.lock().unwrap();
-        // No install: ops run normally and the guard is inert.
-        let guard = controlled(0);
+        // No scheduler: ops run normally and the guard is inert.
+        let guard = controlled(0, None);
         let injector = crate::deque::Injector::new();
         injector.push(1);
         assert_eq!(injector.steal().success(), Some(1));
@@ -252,29 +194,34 @@ mod tests {
     }
 
     #[test]
-    fn controlled_threads_report_to_the_installed_scheduler() {
-        let _serial = TEST_LOCK.lock().unwrap();
+    fn only_threads_handed_the_scheduler_report_to_it() {
         let recorder = Arc::new(Recorder {
             started: AtomicUsize::new(0),
             yields: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
         });
-        install(Arc::clone(&recorder) as Arc<dyn Scheduler>);
+        let scheduler = Arc::clone(&recorder) as Arc<dyn Scheduler>;
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let _guard = controlled(3);
+                let _guard = controlled(3, Some(&scheduler));
                 let worker = crate::deque::Worker::new_fifo();
                 worker.push(7);
                 assert_eq!(worker.pop(), Some(7));
             });
+            // A sibling thread of the same process that was not handed the
+            // scheduler stays invisible to it.
+            scope.spawn(|| {
+                let _guard = controlled(4, None);
+                let injector = crate::deque::Injector::new();
+                injector.push(1);
+                assert_eq!(injector.steal().success(), Some(1));
+            });
         });
-        uninstall();
         assert_eq!(recorder.started.load(Ordering::SeqCst), 1);
         assert_eq!(recorder.finished.load(Ordering::SeqCst), 1);
-        // Two deque ops passed through the hook.
+        // Exactly the controlled thread's two deque ops passed the hook.
         assert_eq!(recorder.yields.load(Ordering::SeqCst), 2);
-        // After uninstall the hook is inert again.
-        let _guard = controlled(0);
+        // Once the guard is gone the thread is uncontrolled again.
         let injector = crate::deque::Injector::new();
         injector.push(1);
         assert_eq!(recorder.yields.load(Ordering::SeqCst), 2);
@@ -304,15 +251,14 @@ mod tests {
 
     #[test]
     fn a_scheduler_can_inject_retry_into_controlled_steals() {
-        let _serial = TEST_LOCK.lock().unwrap();
-        install(Arc::new(Contender {
+        let scheduler = Arc::new(Contender {
             budget: AtomicUsize::new(2),
-        }) as Arc<dyn Scheduler>);
+        }) as Arc<dyn Scheduler>;
         let injector = crate::deque::Injector::new();
         injector.push(9);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let _guard = controlled(0);
+                let _guard = controlled(0, Some(&scheduler));
                 // The first two steals see simulated contention, the third
                 // lands; worker-deque steals are untouched.
                 assert!(injector.steal().is_retry());
@@ -320,7 +266,6 @@ mod tests {
                 assert_eq!(injector.steal().success(), Some(9));
             });
         });
-        uninstall();
         // Uncontrolled threads never see injected contention.
         injector.push(4);
         assert_eq!(injector.steal().success(), Some(4));

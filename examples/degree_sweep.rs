@@ -49,7 +49,7 @@ fn main() {
             let system = SemSystem::builder()
                 .degree(degree)
                 .elements([per_side; 3])
-                .backend(Backend::cpu_specialized())
+                .backend(Backend::cpu_optimized())
                 .build();
             let specialized = system.operator();
             let mut generic = specialized.clone();

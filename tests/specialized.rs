@@ -1,8 +1,9 @@
 //! Degree-sweep parity battery for the specialized kernel family: for every
-//! covered degree N = 3..=15 the `cpu:specialized` path must agree with
-//! `cpu:reference` to 1e-10 on the Ax operator, the FDM preconditioner
-//! application, and the Helmholtz operator — and out-of-range degrees must
-//! fall back to the generic kernels instead of panicking.
+//! covered degree N = 3..=15 the `cpu:optimized` path (which runs the
+//! specialized family there) must agree with `cpu:reference` to 1e-10 on
+//! the Ax operator, the FDM preconditioner application, and the Helmholtz
+//! operator — and out-of-range degrees must fall back to the generic
+//! kernels instead of panicking.
 
 use semfpga::accel::Backend;
 use semfpga::kernel::specialized::{MAX_DEGREE, MIN_DEGREE};
@@ -36,7 +37,7 @@ fn specialized_ax_matches_reference_on_every_covered_degree() {
     for degree in MIN_DEGREE..=MAX_DEGREE {
         let mesh = deformed_mesh(degree);
         let u = mesh.evaluate(|x, y, z| (3.1 * x + 1.3 * y).sin() * (z * z + 0.25) + x * y);
-        let specialized = Backend::cpu_specialized().instantiate(&mesh);
+        let specialized = Backend::cpu_optimized().instantiate(&mesh);
         let reference = Backend::cpu_reference().instantiate(&mesh);
         let mut w_spec = ElementField::zeros(degree, mesh.num_elements());
         let mut w_ref = w_spec.clone();
@@ -50,7 +51,7 @@ fn specialized_ax_matches_reference_on_every_covered_degree() {
 fn specialized_fdm_apply_matches_the_generic_kernels_on_every_covered_degree() {
     for degree in MIN_DEGREE..=MAX_DEGREE {
         let mesh = deformed_mesh(degree);
-        let operator = PoissonOperator::new(&mesh, AxImplementation::Specialized);
+        let operator = PoissonOperator::new(&mesh, AxImplementation::Optimized);
         let gather_scatter = GatherScatter::from_mesh(&mesh);
         let mask = DirichletMask::from_mesh(&mesh);
         let fdm = FdmPreconditioner::new(&mesh, &operator, &gather_scatter, &mask);
@@ -71,7 +72,7 @@ fn specialized_helmholtz_matches_reference_on_every_covered_degree() {
         let mesh = deformed_mesh(degree);
         let u = mesh.evaluate(|x, y, z| (1.7 * x).cos() * (y - 0.3) + z * z * x);
         let specialized = HelmholtzOperator::new(
-            PoissonOperator::new(&mesh, AxImplementation::Specialized),
+            PoissonOperator::new(&mesh, AxImplementation::Optimized),
             0.9,
         );
         let reference = HelmholtzOperator::new(
@@ -92,7 +93,7 @@ fn out_of_range_degrees_fall_back_to_the_generic_path_without_panicking() {
             "degree {degree} must not be covered"
         );
         let mesh = deformed_mesh(degree);
-        let operator = PoissonOperator::new(&mesh, AxImplementation::Specialized);
+        let operator = PoissonOperator::new(&mesh, AxImplementation::Optimized);
         assert!(operator.dispatch().is_none(), "degree {degree}");
         let u = mesh.evaluate(|x, y, z| x * y + z);
         let reference = PoissonOperator::new(&mesh, AxImplementation::Reference);
