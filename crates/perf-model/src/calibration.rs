@@ -32,9 +32,9 @@ pub fn suspect_term(stage: &str) -> &'static str {
 
 /// An online multiplicative correction for a drifting prediction term.
 ///
-/// The live serving path feeds every executed job's (predicted, actual)
-/// session seconds into the corrector; subsequent admission verdicts and
-/// autoscaler capacity checks price jobs at
+/// The live and chaos serving paths feed every executed job's (predicted,
+/// actual) session seconds into the corrector; subsequent admission
+/// verdicts, placements and chaos timeout budgets price jobs at
 /// `prediction × correction()` instead of trusting the raw model.  The
 /// correction is the ratio of accumulated actual to accumulated predicted
 /// seconds — exactly the aggregate the drift report computes for the
@@ -93,95 +93,6 @@ impl DriftCorrector {
     }
 }
 
-/// Per-stage drift correction: one [`DriftCorrector`] per model term the
-/// drift report attributes residuals to, instead of a single factor
-/// smearing every stage's error onto every other stage's prediction.
-///
-/// The serving layer records each executed request's per-stage
-/// (predicted, actual) pairs under the same stage names [`suspect_term`]
-/// knows (`shared_upload`, `upload`, `compute`, `download`,
-/// `residual_stream`, `session`); consumers then correct each stage's raw
-/// prediction by *that stage's own* measured ratio — an upload-bandwidth
-/// lie no longer inflates the compute prediction.  Timeout budgets price
-/// off the corrected per-stage figures, so a sticky device slowdown (which
-/// drifts `compute` only) tightens exactly the budget it should.
-///
-/// Unknown stages share one fallback corrector, mirroring
-/// [`suspect_term`]'s graceful `"unmodelled stage"` degradation.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StageDriftCorrector {
-    shared_upload: DriftCorrector,
-    upload: DriftCorrector,
-    compute: DriftCorrector,
-    download: DriftCorrector,
-    residual_stream: DriftCorrector,
-    session: DriftCorrector,
-    unmodelled: DriftCorrector,
-}
-
-impl StageDriftCorrector {
-    /// A corrector set with no evidence yet (every factor 1).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn slot(&self, stage: &str) -> &DriftCorrector {
-        match stage {
-            "shared_upload" => &self.shared_upload,
-            "upload" => &self.upload,
-            "compute" => &self.compute,
-            "download" => &self.download,
-            "residual_stream" => &self.residual_stream,
-            "session" => &self.session,
-            _ => &self.unmodelled,
-        }
-    }
-
-    fn slot_mut(&mut self, stage: &str) -> &mut DriftCorrector {
-        match stage {
-            "shared_upload" => &mut self.shared_upload,
-            "upload" => &mut self.upload,
-            "compute" => &mut self.compute,
-            "download" => &mut self.download,
-            "residual_stream" => &mut self.residual_stream,
-            "session" => &mut self.session,
-            _ => &mut self.unmodelled,
-        }
-    }
-
-    /// Record one executed stage's predicted and actual seconds.
-    pub fn record(&mut self, stage: &str, predicted_seconds: f64, actual_seconds: f64) {
-        self.slot_mut(stage)
-            .record(predicted_seconds, actual_seconds);
-    }
-
-    /// The stage's multiplicative correction (1.0 with no evidence).
-    #[must_use]
-    pub fn correction(&self, stage: &str) -> f64 {
-        self.slot(stage).correction()
-    }
-
-    /// Apply the stage's correction to a raw model prediction.
-    #[must_use]
-    pub fn corrected(&self, stage: &str, predicted_seconds: f64) -> f64 {
-        self.slot(stage).corrected(predicted_seconds)
-    }
-
-    /// Samples recorded for the stage so far.
-    #[must_use]
-    pub fn samples(&self, stage: &str) -> usize {
-        self.slot(stage).samples()
-    }
-
-    /// The whole-session corrector — the figure the single-factor admission
-    /// path (and its committed artifacts) keeps pricing with.
-    #[must_use]
-    pub fn session(&self) -> &DriftCorrector {
-        &self.session
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,45 +144,5 @@ mod tests {
         e.record(1.0, f64::INFINITY);
         assert_eq!(e.samples(), 0);
         assert_eq!(e.correction(), 1.0);
-    }
-
-    #[test]
-    fn stage_corrections_are_independent() {
-        let mut c = StageDriftCorrector::new();
-        // Only the compute term drifts (a down-clocked device)...
-        c.record("compute", 1.0, 3.0);
-        c.record("upload", 2.0, 2.0);
-        assert!((c.correction("compute") - 3.0).abs() < 1e-12);
-        // ...and the other stages keep their own evidence, not compute's.
-        assert_eq!(c.correction("upload"), 1.0);
-        assert_eq!(c.correction("download"), 1.0);
-        assert!((c.corrected("compute", 2.0) - 6.0).abs() < 1e-12);
-        assert_eq!(c.corrected("download", 2.0), 2.0);
-        assert_eq!(c.samples("compute"), 1);
-        assert_eq!(c.samples("session"), 0);
-    }
-
-    #[test]
-    fn unknown_stages_share_the_fallback_corrector() {
-        let mut c = StageDriftCorrector::new();
-        c.record("teleport", 1.0, 2.0);
-        assert!((c.correction("warp") - 2.0).abs() < 1e-12);
-        assert_eq!(c.correction("compute"), 1.0);
-    }
-
-    #[test]
-    fn session_slot_matches_the_single_factor_corrector() {
-        // The live admission path prices sessions through the session slot;
-        // it must reproduce the legacy single corrector bit for bit so
-        // committed live-serving artifacts stay stable.
-        let mut single = DriftCorrector::new();
-        let mut staged = StageDriftCorrector::new();
-        for (p, a) in [(1.0, 2.0), (3.0, 2.5), (0.5, 0.5)] {
-            single.record(p, a);
-            staged.record("session", p, a);
-        }
-        assert_eq!(single.correction(), staged.correction("session"));
-        assert_eq!(single.corrected(1.7), staged.corrected("session", 1.7));
-        assert_eq!(&single, staged.session());
     }
 }

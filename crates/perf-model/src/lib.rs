@@ -25,7 +25,8 @@
 //!   host roofline cost model scheduling policies price backends with;
 //! * [`calibration`] — the drift-report helper naming which model term a
 //!   drifting serving stage implicates, and the [`calibration::DriftCorrector`]
-//!   that turns measured residuals into a multiplicative prediction fix;
+//!   that turns measured whole-session residuals into the multiplicative fix
+//!   admission, placement and chaos timeout budgets price with;
 //! * [`workload`] — seeded open-loop arrival-time generators (Poisson,
 //!   bursty, diurnal) for the live serving bench.
 
@@ -45,7 +46,7 @@ pub mod serving;
 pub mod throughput;
 pub mod workload;
 
-pub use calibration::{suspect_term, DriftCorrector, StageDriftCorrector};
+pub use calibration::{suspect_term, DriftCorrector};
 pub use cost::{bytes_per_dof, flops_per_dof, operational_intensity, KernelCost, KernelTraffic};
 pub use device::FpgaDevice;
 pub use measured::{measured_table1, Table1Row};

@@ -34,7 +34,7 @@ use crate::fault::{
 use crate::queue::{BatchJob, SolveQueue};
 use crate::request::ServeRequest;
 use crate::server::{RequestOutcome, Server};
-use perf_model::StageDriftCorrector;
+use perf_model::DriftCorrector;
 use sem_obs::{recorder, WallTimer};
 use serde::{Deserialize, Serialize};
 
@@ -213,7 +213,7 @@ impl Server {
         let mut busy = vec![0.0_f64; pool];
         let mut breakers = vec![CircuitBreaker::new(); pool];
         let mut ledger = RetryLedger::new();
-        let mut corrector = StageDriftCorrector::new();
+        let mut corrector = DriftCorrector::new();
         let mut fault_events = Vec::new();
         let mut outcomes: Vec<Option<RequestOutcome>> = (0..requests.len()).map(|_| None).collect();
         let mut unserved = Vec::new();
@@ -271,7 +271,7 @@ impl Server {
             }
             self.ensure_system(device, job.spec);
             let raw_predicted = self.predict_job_seconds(device, &job);
-            let budget = chaos.timeout_factor * corrector.corrected("session", raw_predicted);
+            let budget = chaos.timeout_factor * corrector.corrected(raw_predicted);
             let start = busy[device].max(not_before_seconds);
             let system = self.system(device, job.spec);
             let (timeline, mut job_outcomes, modeled) =
@@ -317,7 +317,7 @@ impl Server {
                         fallback_jobs += 1;
                     }
                     if modeled {
-                        corrector.record("session", raw_predicted, makespan);
+                        corrector.record(raw_predicted, makespan);
                     }
                     for mut outcome in job_outcomes.drain(..) {
                         outcome.started_seconds = start;
@@ -426,7 +426,7 @@ impl Server {
         job: &BatchJob,
         normal_set: &[usize],
         breakers: &[CircuitBreaker],
-        corrector: &StageDriftCorrector,
+        corrector: &DriftCorrector,
         busy: &[f64],
         not_before_seconds: f64,
         probe_cooldown_seconds: f64,
@@ -439,7 +439,7 @@ impl Server {
                 continue;
             }
             self.ensure_system(d, job.spec);
-            let predicted = corrector.corrected("session", self.predict_job_seconds(d, job));
+            let predicted = corrector.corrected(self.predict_job_seconds(d, job));
             let completion = start + predicted;
             let better = match best {
                 None => true,

@@ -17,7 +17,7 @@ use crate::pipeline::{PipelineConfig, PipelineTimeline, RequestStages, Stage};
 use crate::queue::{BatchJob, SolveQueue};
 use crate::request::{ProblemSpec, RhsSpec, ServeRequest};
 use crate::scheduler::{DeviceSlot, DeviceStatus, SchedulingPolicy};
-use crate::steal::{run_stealing, TaggedJob};
+use crate::steal::{run_stealing, JobVerdict, TaggedJob};
 use sem_accel::{Backend, PerfSource, SemSystem};
 use sem_mesh::ElementField;
 use sem_obs::{recorder, DriftSample, Scope, SpanEvent, SpanKind, WallTimer};
@@ -552,8 +552,12 @@ impl Server {
                 )
             });
             let (timeline, outcomes, modeled) = self.execute_job_on(system, worker, &job, requests);
-            (job, timeline, outcomes, modeled)
+            JobVerdict::Done((job, timeline, outcomes, modeled))
         });
+        assert!(
+            !run.died.contains(&true) && run.unfinished.is_empty(),
+            "a Done-only run neither loses workers nor leaves jobs unfinished"
+        );
         let mut wall_stats = Vec::with_capacity(self.slots.len());
         for (slot, ledger) in self.systems.iter_mut().zip(run.workers) {
             wall_stats.push((ledger.busy_wall_seconds, ledger.steals));

@@ -5,7 +5,11 @@
 //! per-worker owned state, and the result type, so the exact machinery that
 //! runs device sessions in [`crate::Server::serve_async`] can also be
 //! stress-tested with thousands of cheap synthetic jobs (see
-//! `tests/stress.rs`).
+//! `tests/stress.rs`).  The executor resolves each job with a
+//! [`JobVerdict`]: fault-free code always answers [`JobVerdict::Done`],
+//! while a fault-aware executor may requeue a job ([`JobVerdict::Retry`])
+//! or retire its worker ([`JobVerdict::Fatal`]) — and the run conserves
+//! every job either way.
 //!
 //! ## Seeding and stealing discipline
 //!
@@ -22,27 +26,35 @@
 //!    the *newest* job — the one that would otherwise wait longest behind a
 //!    busy device.
 //!
-//! ## Termination: the feeder-done protocol
+//! ## Termination: the outstanding-work rule
 //!
-//! Jobs are only removed to be executed and nothing is ever re-queued, so
-//! with a fixed job set an empty sweep would prove no pending
-//! work remains.  Live serving breaks that proof: a *feeder* (see
-//! [`run_stealing_with_feeder`]) keeps pushing arrivals into the shared
-//! injector while workers run, and a worker that exited on the first empty
-//! sweep would strand every job fed after it.  Workers therefore exit only
-//! when a **fully empty, uncontended sweep began after the feeder-done flag
-//! was observed set**.  The feeder publishes every push *before* the done
-//! flag is stored (both SeqCst), so a sweep that started after observing
-//! `done` sees every fed job — empty then really means empty forever.  The
-//! batch-only [`run_stealing`] starts with the flag already set, which
-//! restores the old "first empty sweep exits" behaviour exactly.
+//! An empty sweep alone proves nothing: a *feeder* (see
+//! [`run_stealing_with_feeder`]) may still push live arrivals, and a retried
+//! or dying worker's job re-enters the injector after a sibling swept past
+//! it.  The run therefore counts outstanding jobs: seeded jobs start
+//! counted, the [`FeederHandle`] counts each push *before* publishing it, a
+//! `Done` verdict retires one, and `Retry`/`Fatal` requeue without touching
+//! the count.  A worker exits only when the feeder-done flag was set **and**
+//! the count was zero, both observed before a fully empty, uncontended
+//! sweep.  The feeder stores the flag after its last push (both SeqCst), so
+//! a worker that observes the flag has seen every count the feeder added;
+//! the batch-only [`run_stealing`] starts with the flag already set.
+//!
+//! A `Done` job is retired *before* its result is sent.  No worker ever
+//! reads results — the caller drains the channel only after every worker
+//! has joined — so a sibling that sees zero outstanding and exits cannot
+//! miss an answer still on its way.  Retiring after the send instead would
+//! keep idle siblings spinning for as long as the finishing worker waits
+//! at its send.
 //!
 //! Contended sweeps (a [`Steal::Retry`] from the injector *or* a sibling
-//! deque) and empty-but-not-done sweeps share one backoff path: park/unpark
-//! telemetry around a scheduler yield.  This is also why the run conserves
-//! jobs: every seeded or fed job is taken exactly once, by exactly one
-//! worker, and its result is delivered over a channel that the caller
-//! drains to completion.
+//! deque) and empty-but-unfinished sweeps share one backoff path:
+//! park/unpark telemetry around a scheduler yield, or around a short sleep
+//! once the feeder is done and the worker has long been idle — it is then
+//! only waiting out its siblings' last jobs.  Every seeded or fed job
+//! is either delivered exactly once over a channel the caller drains to
+//! completion, or — only when every worker died — handed back in
+//! [`StealRun::unfinished`].
 
 use crossbeam::channel;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
@@ -50,6 +62,7 @@ use crossbeam::sched::Scheduler;
 use sem_obs::{recorder, Scope, SpanEvent, SpanKind, WallTimer};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// One job plus the scheduling hint it was admitted with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +79,8 @@ pub struct TaggedJob<T> {
 pub struct CompletedJob<R> {
     /// The worker that actually executed the job.
     pub worker: usize,
-    /// The admission-time hint the job carried.
+    /// The hint the job carried when it was taken: its admission-time hint,
+    /// or `None` once a retry or a dying worker requeued it.
     pub hint: Option<usize>,
     /// What the executor returned.
     pub result: R,
@@ -89,25 +103,57 @@ pub struct WorkerLedger<S> {
     /// Wall-clock seconds this worker spent executing jobs (excludes idle
     /// spinning and queue operations).
     pub busy_wall_seconds: f64,
-    /// Jobs this worker executed.
+    /// Jobs this worker resolved [`JobVerdict::Done`].
     pub executed_jobs: usize,
     /// Executed jobs that were hinted to a *different* worker.
     pub steals: usize,
 }
 
+/// How the executor resolved one job.
+#[derive(Debug)]
+pub enum JobVerdict<T, R> {
+    /// The job completed (and, if the caller verifies answers, passed):
+    /// deliver the result and retire the job.
+    Done(R),
+    /// The job failed recoverably (device fault, corrupt answer, timeout):
+    /// requeue the returned payload — typically the job with its retry
+    /// ledger advanced — through the shared injector for another worker.
+    /// The worker that reported it stays in the pool.
+    Retry(T),
+    /// The worker's device is unusable (dead): requeue the returned
+    /// payload, drain the worker's own deque back to the injector so
+    /// nothing it was hinted is lost, and retire the **worker**.
+    Fatal(T),
+}
+
 /// The outcome of one work-stealing run.
 #[derive(Debug)]
-pub struct StealRun<S, R> {
-    /// Executed jobs in completion order (the order results crossed the
-    /// channel, not submission order — the caller re-sequences).
+pub struct StealRun<T, S, R> {
+    /// Jobs resolved [`JobVerdict::Done`], in completion order (the order
+    /// results crossed the channel, not submission order — the caller
+    /// re-sequences).
     pub completed: Vec<CompletedJob<R>>,
-    /// Per-worker ledgers, indexed like the input states.
+    /// Per-worker ledgers, indexed like the input states.  Dead workers
+    /// still hand their state back — a died device's sessions return to
+    /// the caller, they are not leaked with the worker.
     pub workers: Vec<WorkerLedger<S>>,
+    /// Which workers retired through [`JobVerdict::Fatal`] (parallel to
+    /// `workers`).
+    pub died: Vec<bool>,
+    /// Jobs still unresolved when the run ended — non-empty only when
+    /// *every* worker died with work left.  The caller owns them (e.g. to
+    /// degrade onto host backends); they are never silently dropped.
+    pub unfinished: Vec<T>,
+    /// [`JobVerdict::Retry`] verdicts across the run.
+    pub retries: usize,
+    /// Jobs requeued by dying workers: each one's in-flight job plus its
+    /// drained deque.
+    pub requeued_on_death: usize,
     /// Wall-clock seconds from first spawn to last join.
     pub wall_seconds: f64,
 }
 
-impl<S, R> StealRun<S, R> {
+impl<T, S, R> StealRun<T, S, R> {
     /// Total wall-clock seconds workers spent executing jobs.
     #[must_use]
     pub fn busy_wall_seconds(&self) -> f64 {
@@ -130,27 +176,30 @@ impl<S, R> StealRun<S, R> {
     pub fn total_steals(&self) -> usize {
         self.workers.iter().map(|w| w.steals).sum()
     }
-}
 
-/// What one worker sends back per executed job.
-struct Delivery<R> {
-    worker: usize,
-    hint: Option<usize>,
-    result: R,
+    /// Workers that survived the run.
+    #[must_use]
+    pub fn alive_workers(&self) -> usize {
+        self.died.iter().filter(|&&d| !d).count()
+    }
 }
 
 /// The live-arrival side of a streaming run: the handle the feeder closure
-/// pushes timestamped work through while the worker pool is already
-/// draining.  Fed jobs carry no hint — they ride the shared injector to
-/// whichever worker frees up first, exactly like down-batched floaters.
+/// pushes work through while the worker pool is already draining.  Fed jobs
+/// carry no hint — they ride the shared injector to whichever worker frees
+/// up first, exactly like down-batched floaters.  Every push counts the job
+/// as outstanding *before* it becomes visible, so no worker can observe
+/// "all work resolved" while a fed job is in flight.
 #[derive(Debug)]
 pub struct FeederHandle<'a, T> {
     injector: &'a Injector<TaggedJob<T>>,
+    outstanding: &'a AtomicUsize,
 }
 
 impl<T> FeederHandle<'_, T> {
     /// Push one live arrival into the shared injector.
     pub fn push(&self, payload: T) {
+        self.outstanding.fetch_add(1, Ordering::SeqCst);
         self.injector.push(TaggedJob {
             payload,
             hint: None,
@@ -168,7 +217,10 @@ impl<T> FeederHandle<'_, T> {
 /// the worker's owned state — the state never crosses a thread boundary
 /// mid-run, so workers can keep non-`Sync` sessions (each `SemSystem` is
 /// owned by exactly one worker at a time) and hand them back through the
-/// ledger when the run ends.
+/// ledger when the run ends.  Its [`JobVerdict`] decides what happens to
+/// the job; every job is delivered exactly once or handed back in
+/// [`StealRun::unfinished`], whatever mix of retries and worker deaths the
+/// executor reports.
 ///
 /// # Panics
 /// Panics if `states` is empty or any hint is out of range.
@@ -176,14 +228,14 @@ pub fn run_stealing<T, S, R, F>(
     states: Vec<S>,
     jobs: Vec<TaggedJob<T>>,
     execute: F,
-) -> StealRun<S, R>
+) -> StealRun<T, S, R>
 where
     T: Send,
     S: Send,
     R: Send,
-    F: Fn(usize, &mut S, T) -> R + Sync,
+    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
 {
-    run_stealing_controlled(
+    run_controlled(
         None,
         states,
         jobs,
@@ -196,8 +248,8 @@ where
 /// calling thread *after* the workers are spawned and may push arrivals
 /// into the shared injector at any point while the pool drains.  Workers
 /// stay alive — backing off through the contended-sweep path — until the
-/// feeder returns and every queued job is taken (the feeder-done protocol
-/// in the module docs).
+/// feeder returns and every job is resolved (the outstanding-work rule in
+/// the module docs).
 ///
 /// # Panics
 /// Panics if `states` is empty or any seeded hint is out of range.
@@ -206,33 +258,33 @@ pub fn run_stealing_with_feeder<T, S, R, F, G>(
     jobs: Vec<TaggedJob<T>>,
     feeder: G,
     execute: F,
-) -> StealRun<S, R>
+) -> StealRun<T, S, R>
 where
     T: Send,
     S: Send,
     R: Send,
-    F: Fn(usize, &mut S, T) -> R + Sync,
+    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
     G: FnOnce(&FeederHandle<'_, T>),
 {
-    run_stealing_controlled(None, states, jobs, Some(feeder), execute)
+    run_controlled(None, states, jobs, Some(feeder), execute)
 }
 
-/// The plain stealing run behind [`run_stealing`] and
-/// [`run_stealing_with_feeder`].  `scheduler` is the schedule controller
-/// every worker of *this* pool registers with — `Some` only for the
-/// explorer's runs (`crate::explore`), `None` everywhere else.
-pub(crate) fn run_stealing_controlled<T, S, R, F, G>(
+/// The run behind [`run_stealing`] and [`run_stealing_with_feeder`].
+/// `scheduler` is the schedule controller every worker of *this* pool
+/// registers with — `Some` only for the explorer's runs
+/// (`crate::explore`), `None` everywhere else.
+pub(crate) fn run_controlled<T, S, R, F, G>(
     scheduler: Option<&Arc<dyn Scheduler>>,
     states: Vec<S>,
     jobs: Vec<TaggedJob<T>>,
     feeder: Option<G>,
     execute: F,
-) -> StealRun<S, R>
+) -> StealRun<T, S, R>
 where
     T: Send,
     S: Send,
     R: Send,
-    F: Fn(usize, &mut S, T) -> R + Sync,
+    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
     G: FnOnce(&FeederHandle<'_, T>),
 {
     let pool = states.len();
@@ -240,275 +292,8 @@ where
     let queues: Vec<Worker<TaggedJob<T>>> = (0..pool).map(|_| Worker::new_fifo()).collect();
     let stealers: Vec<Stealer<TaggedJob<T>>> = queues.iter().map(Worker::stealer).collect();
     let injector = Injector::new();
+    let outstanding = AtomicUsize::new(jobs.len());
     for job in jobs {
-        match job.hint {
-            Some(hint) => {
-                assert!(hint < pool, "hint {hint} outside pool of {pool}");
-                queues[hint].push(job);
-            }
-            None => injector.push(job),
-        }
-    }
-
-    // With no feeder the flag starts set, so the first fully empty sweep
-    // exits — identical to the old batch-only termination rule.
-    let feeder_done = AtomicBool::new(feeder.is_none());
-    let (tx, rx) = channel::unbounded::<Delivery<R>>();
-    let run_timer = WallTimer::start();
-    let mut ledgers: Vec<Option<WorkerLedger<S>>> = Vec::with_capacity(pool);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(pool);
-        for (index, (queue, mut state)) in queues.into_iter().zip(states).enumerate() {
-            let tx = tx.clone();
-            let injector = &injector;
-            let stealers = &stealers;
-            let execute = &execute;
-            let feeder_done = &feeder_done;
-            // lint: no-panic (a worker panic strands sibling deques mid-run)
-            handles.push(scope.spawn(move || {
-                // Registers this thread with the explorer's scheduler when
-                // the run was handed one; inert in production.
-                let _control = crossbeam::sched::controlled(index, scheduler);
-                let mut busy_wall_seconds = 0.0;
-                let mut executed_jobs = 0;
-                let mut steals = 0;
-                let obs = recorder();
-                while let Some(job) = next_job(index, &queue, injector, stealers, feeder_done) {
-                    if job.hint.is_some_and(|hint| hint != index) {
-                        steals += 1;
-                        if obs.is_enabled() {
-                            // Which worker robbed whom is a property of the
-                            // schedule, never of the answer: mark the event
-                            // so modelled-clock exports drop it.
-                            let at = obs.stamp(busy_wall_seconds);
-                            obs.record(
-                                SpanEvent::new(SpanKind::Steal, Scope::ScheduleDependent, at, at)
-                                    .with_index(index as u64),
-                            );
-                            obs.counter_add("sem_serve_steals_total", &[], 1);
-                        }
-                    }
-                    let hint = job.hint;
-                    let begun = WallTimer::start();
-                    let result = execute(index, &mut state, job.payload);
-                    busy_wall_seconds += begun.elapsed_wall_seconds();
-                    executed_jobs += 1;
-                    // The receiver outlives the scope by construction, so a
-                    // failed send can only mean the channel was torn down
-                    // mid-run; stop taking work instead of panicking with
-                    // sibling deques still live.
-                    let delivery = Delivery {
-                        worker: index,
-                        hint,
-                        result,
-                    };
-                    if tx.send(delivery).is_err() {
-                        break;
-                    }
-                }
-                WorkerLedger {
-                    state,
-                    busy_wall_seconds,
-                    executed_jobs,
-                    steals,
-                }
-            }));
-        }
-        drop(tx);
-        if let Some(feed) = feeder {
-            // The feeder runs on the calling thread, uncontrolled by any
-            // schedule explorer: live arrivals are outside the pool under
-            // test.  Every push lands before the done flag is stored, so a
-            // worker that observes `done` and then sweeps empty has seen
-            // every fed job.
-            let handle = FeederHandle {
-                injector: &injector,
-            };
-            feed(&handle);
-            feeder_done.store(true, Ordering::SeqCst);
-        }
-        for handle in handles {
-            ledgers.push(Some(handle.join().expect("worker thread panicked")));
-        }
-    });
-    let wall_seconds = run_timer.elapsed_wall_seconds();
-
-    let completed = rx
-        .iter()
-        .map(|delivery| CompletedJob {
-            worker: delivery.worker,
-            hint: delivery.hint,
-            result: delivery.result,
-        })
-        .collect();
-    StealRun {
-        completed,
-        workers: ledgers
-            .into_iter()
-            .map(|ledger| ledger.expect("every worker joined"))
-            .collect(),
-        wall_seconds,
-    }
-}
-
-/// How a fault-tolerant executor resolved one job.
-#[derive(Debug)]
-pub enum JobVerdict<T, R> {
-    /// The job completed (and, if the caller verifies answers, passed):
-    /// deliver the result and retire the job.
-    Done(R),
-    /// The job failed recoverably (device fault, corrupt answer, timeout):
-    /// requeue the returned payload — typically the job with its retry
-    /// ledger advanced — through the shared injector for another worker.
-    /// The worker that reported it stays in the pool.
-    Retry(T),
-    /// The worker's device is unusable (dead): requeue the returned
-    /// payload, drain the worker's own deque back to the injector so
-    /// nothing it was hinted is lost, and retire the **worker**.
-    Fatal(T),
-}
-
-/// The feeder handle of a fault-tolerant run: like [`FeederHandle`], but
-/// every push registers the job with the outstanding-work counter *before*
-/// it becomes visible, so workers can never observe "all work resolved"
-/// while a fed job is still in flight.
-#[derive(Debug)]
-pub struct TolerantFeederHandle<'a, T> {
-    injector: &'a Injector<TaggedJob<T>>,
-    outstanding: &'a AtomicUsize,
-}
-
-impl<T> TolerantFeederHandle<'_, T> {
-    /// Push one live arrival into the shared injector.
-    pub fn push(&self, payload: T) {
-        self.outstanding.fetch_add(1, Ordering::SeqCst);
-        self.injector.push(TaggedJob {
-            payload,
-            hint: None,
-        });
-        let obs = recorder();
-        if obs.is_enabled() {
-            obs.counter_add("sem_serve_live_arrivals_total", &[], 1);
-        }
-    }
-}
-
-/// The outcome of one fault-tolerant work-stealing run.
-#[derive(Debug)]
-pub struct TolerantRun<T, S, R> {
-    /// Jobs resolved [`JobVerdict::Done`], in completion order.
-    pub completed: Vec<CompletedJob<R>>,
-    /// Per-worker ledgers, indexed like the input states.  Dead workers
-    /// still hand their state back — a died device's sessions return to
-    /// the caller, they are not leaked with the worker.
-    pub workers: Vec<WorkerLedger<S>>,
-    /// Which workers retired through [`JobVerdict::Fatal`] (parallel to
-    /// `workers`).
-    pub died: Vec<bool>,
-    /// Jobs still unresolved when the run ended — non-empty only when
-    /// *every* worker died with work left.  The caller owns them (e.g. to
-    /// degrade onto host backends); they are never silently dropped.
-    pub unfinished: Vec<T>,
-    /// [`JobVerdict::Retry`] verdicts across the run.
-    pub retries: usize,
-    /// Jobs drained from dying workers' deques back to the injector.
-    pub requeued_on_death: usize,
-    /// Wall-clock seconds from first spawn to last join.
-    pub wall_seconds: f64,
-}
-
-impl<T, S, R> TolerantRun<T, S, R> {
-    /// Workers that survived the run.
-    #[must_use]
-    pub fn alive_workers(&self) -> usize {
-        self.died.iter().filter(|&&d| !d).count()
-    }
-}
-
-/// Fault-tolerant work stealing over a fixed job set: like
-/// [`run_stealing`], but the executor returns a [`JobVerdict`] and the run
-/// guarantees **job conservation under failure** — every job is either
-/// delivered exactly once or handed back in
-/// [`TolerantRun::unfinished`], whatever mix of retries and worker deaths
-/// the executor reports.
-///
-/// Termination replaces the empty-sweep proof with an outstanding-work
-/// counter: seeded jobs start counted, [`JobVerdict::Done`] retires one,
-/// and retry/fatal requeues keep the count — so a worker exits only when
-/// the count is zero (observed *before* a fully empty, uncontended sweep,
-/// by the same publish-before-flag argument as the feeder-done protocol).
-///
-/// # Panics
-/// Panics if `states` is empty or any hint is out of range.
-pub fn run_stealing_tolerant<T, S, R, F>(
-    states: Vec<S>,
-    jobs: Vec<TaggedJob<T>>,
-    execute: F,
-) -> TolerantRun<T, S, R>
-where
-    T: Send,
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
-{
-    run_tolerant_controlled(
-        None,
-        states,
-        jobs,
-        None::<fn(&TolerantFeederHandle<'_, T>)>,
-        execute,
-    )
-}
-
-/// Like [`run_stealing_tolerant`], but with a live feeder pushing arrivals
-/// while the pool drains (the tolerant analogue of
-/// [`run_stealing_with_feeder`]).  The feeder's pushes register with the
-/// outstanding-work counter before they are published, so a retry racing
-/// the feeder-done flag can never convince a worker the run is over.
-///
-/// # Panics
-/// Panics if `states` is empty or any seeded hint is out of range.
-pub fn run_stealing_tolerant_with_feeder<T, S, R, F, G>(
-    states: Vec<S>,
-    jobs: Vec<TaggedJob<T>>,
-    feeder: G,
-    execute: F,
-) -> TolerantRun<T, S, R>
-where
-    T: Send,
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
-    G: FnOnce(&TolerantFeederHandle<'_, T>),
-{
-    run_tolerant_controlled(None, states, jobs, Some(feeder), execute)
-}
-
-/// The tolerant run behind [`run_stealing_tolerant`] and
-/// [`run_stealing_tolerant_with_feeder`]; `scheduler` as in
-/// [`run_stealing_controlled`].
-pub(crate) fn run_tolerant_controlled<T, S, R, F, G>(
-    scheduler: Option<&Arc<dyn Scheduler>>,
-    states: Vec<S>,
-    jobs: Vec<TaggedJob<T>>,
-    feeder: Option<G>,
-    execute: F,
-) -> TolerantRun<T, S, R>
-where
-    T: Send,
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
-    G: FnOnce(&TolerantFeederHandle<'_, T>),
-{
-    let pool = states.len();
-    assert!(pool > 0, "need at least one worker");
-    let queues: Vec<Worker<TaggedJob<T>>> = (0..pool).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<TaggedJob<T>>> = queues.iter().map(Worker::stealer).collect();
-    let injector = Injector::new();
-    let outstanding = AtomicUsize::new(0);
-    for job in jobs {
-        outstanding.fetch_add(1, Ordering::SeqCst);
         match job.hint {
             Some(hint) => {
                 assert!(hint < pool, "hint {hint} outside pool of {pool}");
@@ -521,10 +306,9 @@ where
     let feeder_done = AtomicBool::new(feeder.is_none());
     let retries = AtomicUsize::new(0);
     let requeued_on_death = AtomicUsize::new(0);
-    let (tx, rx) = channel::unbounded::<Delivery<R>>();
+    let (tx, rx) = channel::unbounded::<CompletedJob<R>>();
     let run_timer = WallTimer::start();
-    let mut ledgers: Vec<Option<(WorkerLedger<S>, bool)>> = Vec::with_capacity(pool);
-    std::thread::scope(|scope| {
+    let joined: Vec<(WorkerLedger<S>, bool)> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(pool);
         for (index, (queue, mut state)) in queues.into_iter().zip(states).enumerate() {
             let tx = tx.clone();
@@ -537,6 +321,8 @@ where
             let requeued_on_death = &requeued_on_death;
             // lint: no-panic (a worker panic strands sibling deques mid-run)
             handles.push(scope.spawn(move || {
+                // Registers this thread with the explorer's scheduler when
+                // the run was handed one; inert in production.
                 let _control = crossbeam::sched::controlled(index, scheduler);
                 let mut busy_wall_seconds = 0.0;
                 let mut executed_jobs = 0;
@@ -544,44 +330,49 @@ where
                 let mut died = false;
                 let obs = recorder();
                 while let Some(job) =
-                    next_job_tolerant(index, &queue, injector, stealers, feeder_done, outstanding)
+                    next_job(index, &queue, injector, stealers, feeder_done, outstanding)
                 {
-                    if job.hint.is_some_and(|hint| hint != index) {
-                        steals += 1;
-                        if obs.is_enabled() {
-                            let at = obs.stamp(busy_wall_seconds);
-                            obs.record(
-                                SpanEvent::new(SpanKind::Steal, Scope::ScheduleDependent, at, at)
-                                    .with_index(index as u64),
-                            );
-                            obs.counter_add("sem_serve_steals_total", &[], 1);
-                        }
-                    }
                     let hint = job.hint;
+                    let stolen = hint.is_some_and(|hint| hint != index);
+                    if stolen && obs.is_enabled() {
+                        // Which worker robbed whom is a property of the
+                        // schedule, never of the answer: mark the event so
+                        // modelled-clock exports drop it.
+                        let at = obs.stamp(busy_wall_seconds);
+                        obs.record(
+                            SpanEvent::new(SpanKind::Steal, Scope::ScheduleDependent, at, at)
+                                .with_index(index as u64),
+                        );
+                        obs.counter_add("sem_serve_steals_total", &[], 1);
+                    }
                     let begun = WallTimer::start();
                     let verdict = execute(index, &mut state, job.payload);
                     busy_wall_seconds += begun.elapsed_wall_seconds();
                     match verdict {
                         JobVerdict::Done(result) => {
                             executed_jobs += 1;
-                            let delivery = Delivery {
+                            steals += usize::from(stolen);
+                            // Retire before sending: results are read only
+                            // after every worker joined (module docs).
+                            outstanding.fetch_sub(1, Ordering::SeqCst);
+                            let delivery = CompletedJob {
                                 worker: index,
                                 hint,
                                 result,
                             };
-                            let torn = tx.send(delivery).is_err();
-                            // Retire the job only after its result is
-                            // published: a worker observing zero outstanding
-                            // must be able to trust every answer is out.
-                            outstanding.fetch_sub(1, Ordering::SeqCst);
-                            if torn {
+                            // The receiver outlives the scope by
+                            // construction, so a failed send can only mean
+                            // the channel was torn down mid-run; stop
+                            // taking work instead of panicking with sibling
+                            // deques still live.
+                            if tx.send(delivery).is_err() {
                                 break;
                             }
                         }
                         JobVerdict::Retry(payload) => {
-                            // Requeue before anything else: the count never
-                            // dips, so no sibling can conclude the run is
-                            // over while this job floats.
+                            // The requeue keeps the job counted, so no
+                            // sibling can conclude the run is over while
+                            // this job floats.
                             injector.push(TaggedJob {
                                 payload,
                                 hint: None,
@@ -631,16 +422,20 @@ where
         }
         drop(tx);
         if let Some(feed) = feeder {
-            let handle = TolerantFeederHandle {
+            // The feeder runs on the calling thread, uncontrolled by any
+            // schedule explorer: live arrivals are outside the pool under
+            // test.
+            let handle = FeederHandle {
                 injector: &injector,
                 outstanding: &outstanding,
             };
             feed(&handle);
             feeder_done.store(true, Ordering::SeqCst);
         }
-        for handle in handles {
-            ledgers.push(Some(handle.join().expect("worker thread panicked")));
-        }
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker thread panicked"))
+            .collect()
     });
     let wall_seconds = run_timer.elapsed_wall_seconds();
 
@@ -656,19 +451,9 @@ where
         }
     }
 
-    let completed = rx
-        .iter()
-        .map(|delivery| CompletedJob {
-            worker: delivery.worker,
-            hint: delivery.hint,
-            result: delivery.result,
-        })
-        .collect();
-    let (workers, died): (Vec<WorkerLedger<S>>, Vec<bool>) = ledgers
-        .into_iter()
-        .map(|entry| entry.expect("every worker joined"))
-        .unzip();
-    TolerantRun {
+    let completed = rx.iter().collect();
+    let (workers, died) = joined.into_iter().unzip();
+    StealRun {
         completed,
         workers,
         died,
@@ -679,12 +464,12 @@ where
     }
 }
 
-/// Tolerant-run termination: exit only when the outstanding-work counter
-/// was zero **and** the feeder-done flag set, both observed before a fully
-/// empty, uncontended sweep.  Retries requeue before any count change and
-/// the feeder counts before it publishes, so "zero outstanding" can never
-/// be observed while a job is invisible in flight.
-fn next_job_tolerant<T>(
+/// Take the next job, or decide the run is over: exit only when the
+/// feeder-done flag was set and the outstanding-work count was zero, both
+/// observed before a fully empty, uncontended sweep.  Requeues keep their
+/// job counted and the feeder counts before it publishes, so "zero
+/// outstanding" can never be observed while a job is in flight.
+fn next_job<T>(
     index: usize,
     own: &Worker<TaggedJob<T>>,
     injector: &Injector<TaggedJob<T>>,
@@ -692,6 +477,7 @@ fn next_job_tolerant<T>(
     feeder_done: &AtomicBool,
     outstanding: &AtomicUsize,
 ) -> Option<TaggedJob<T>> {
+    let mut idle_sweeps = 0;
     loop {
         let done_before_sweep = feeder_done.load(Ordering::SeqCst);
         let outstanding_before_sweep = outstanding.load(Ordering::SeqCst);
@@ -700,7 +486,10 @@ fn next_job_tolerant<T>(
             SweepOutcome::Empty if done_before_sweep && outstanding_before_sweep == 0 => {
                 return None;
             }
-            SweepOutcome::Empty | SweepOutcome::Contended => backoff(index),
+            SweepOutcome::Empty | SweepOutcome::Contended => {
+                backoff(index, done_before_sweep && idle_sweeps >= YIELD_SWEEPS);
+                idle_sweeps += 1;
+            }
         }
     }
 }
@@ -751,11 +540,26 @@ fn sweep<T>(
     }
 }
 
+/// Unproductive sweeps in a row a worker backs off through with a bare
+/// scheduler yield, once the feeder is done, before it sleeps between
+/// sweeps instead.
+const YIELD_SWEEPS: usize = 64;
+
+/// How long a long-idle worker sleeps between sweeps.  With the feeder done
+/// an idle worker only waits out its siblings' last jobs (a retry may still
+/// hand it work), and on a pool larger than the host's core count a yield
+/// loop would take cores from those busy siblings; a short sleep hands them
+/// over.  While arrivals may still come, workers keep yielding so they pick
+/// them up at once.
+const IDLE_SLEEP: Duration = Duration::from_micros(50);
+
 /// The single backoff path every unproductive sweep funnels through:
-/// park/unpark telemetry around a scheduler yield.  Contended sweeps used
-/// to split here — an injector `Retry` looped straight back into the sweep,
-/// a busy-wait that skipped both the yield and the park telemetry.
-fn backoff(index: usize) {
+/// park/unpark telemetry around a scheduler yield, or around a short sleep
+/// for a worker idle past [`YIELD_SWEEPS`] after the feeder finished.
+/// Contended sweeps used to split here — an injector `Retry` looped
+/// straight back into the sweep, a busy-wait that skipped both the yield
+/// and the park telemetry.
+fn backoff(index: usize, long_idle: bool) {
     let obs = recorder();
     if obs.is_enabled() {
         // An unproductive sweep: the worker backs off and retries.  Like
@@ -766,37 +570,17 @@ fn backoff(index: usize) {
                 .with_index(index as u64),
         );
     }
-    std::thread::yield_now();
+    if long_idle {
+        std::thread::sleep(IDLE_SLEEP);
+    } else {
+        std::thread::yield_now();
+    }
     if obs.is_enabled() {
         let at = obs.stamp(0.0);
         obs.record(
             SpanEvent::new(SpanKind::WorkerUnpark, Scope::ScheduleDependent, at, at)
                 .with_index(index as u64),
         );
-    }
-}
-
-/// Take the next job, or decide the run is over.  Exits only on a fully
-/// empty, uncontended sweep that *began after* the feeder-done flag was
-/// observed set: the feeder publishes every push before storing the flag,
-/// so such a sweep has seen every job that will ever exist.
-fn next_job<T>(
-    index: usize,
-    own: &Worker<TaggedJob<T>>,
-    injector: &Injector<TaggedJob<T>>,
-    stealers: &[Stealer<TaggedJob<T>>],
-    feeder_done: &AtomicBool,
-) -> Option<TaggedJob<T>> {
-    loop {
-        // Load the flag before sweeping: a push racing with this sweep may
-        // be missed, but then the flag read here was false and the sweep
-        // retries.
-        let done_before_sweep = feeder_done.load(Ordering::SeqCst);
-        match sweep(index, own, injector, stealers) {
-            SweepOutcome::Job(job) => return Some(job),
-            SweepOutcome::Empty if done_before_sweep => return None,
-            SweepOutcome::Empty | SweepOutcome::Contended => backoff(index),
-        }
     }
 }
 
@@ -813,7 +597,7 @@ mod tests {
                 hint: Some(0),
             })
             .collect();
-        let run = run_stealing(vec![()], jobs, |_, (), payload| payload);
+        let run = run_stealing(vec![()], jobs, |_, (), payload| JobVerdict::Done(payload));
         let order: Vec<usize> = run.completed.iter().map(|c| c.result).collect();
         assert_eq!(order, (0..20).collect::<Vec<_>>());
         assert_eq!(run.workers[0].executed_jobs, 20);
@@ -830,7 +614,9 @@ mod tests {
                 hint: Some(0),
             })
             .collect();
-        let run = run_stealing(vec![(); 4], jobs, |_, (), payload| payload);
+        let run = run_stealing(vec![(); 4], jobs, |_, (), payload| {
+            JobVerdict::Done(payload)
+        });
         let seen: BTreeSet<usize> = run.completed.iter().map(|c| c.result).collect();
         assert_eq!(seen.len(), 200, "no drop, no duplicate");
         assert_eq!(run.completed.len(), 200);
@@ -839,6 +625,11 @@ mod tests {
         // Steal accounting matches the per-job stolen flags.
         let stolen_flags = run.completed.iter().filter(|c| c.stolen()).count();
         assert_eq!(run.total_steals(), stolen_flags);
+        // A `Done`-only run reports no faults of any kind.
+        assert_eq!(run.retries, 0);
+        assert_eq!(run.requeued_on_death, 0);
+        assert!(run.unfinished.is_empty());
+        assert_eq!(run.alive_workers(), 4);
     }
 
     #[test]
@@ -849,7 +640,9 @@ mod tests {
                 hint: None,
             })
             .collect();
-        let run = run_stealing(vec![(); 3], jobs, |_, (), payload| payload);
+        let run = run_stealing(vec![(); 3], jobs, |_, (), payload| {
+            JobVerdict::Done(payload)
+        });
         assert_eq!(run.completed.len(), 50);
         assert_eq!(run.total_steals(), 0, "floaters have no owner to rob");
         assert!(run.completed.iter().all(|c| !c.stolen()));
@@ -865,7 +658,7 @@ mod tests {
             .collect();
         let run = run_stealing(vec![0u64, 0u64], jobs, |_, sum, payload| {
             *sum += payload;
-            payload
+            JobVerdict::Done(payload)
         });
         let handed_back: u64 = run.workers.iter().map(|w| w.state).sum();
         assert_eq!(handed_back, 55, "every job mutated exactly one state");
@@ -890,7 +683,7 @@ mod tests {
                     std::thread::yield_now();
                 }
             },
-            |_, (), payload| payload,
+            |_, (), payload| JobVerdict::Done(payload),
         );
         let seen: BTreeSet<usize> = run.completed.iter().map(|c| c.result).collect();
         assert_eq!(seen.len(), 40, "every seeded and fed job exactly once");
@@ -913,7 +706,7 @@ mod tests {
                 hint: Some(0),
             }],
             |_feeder| {},
-            |_, (), payload| payload,
+            |_, (), payload| JobVerdict::Done(payload),
         );
         assert_eq!(run.completed.len(), 1);
     }
@@ -928,7 +721,7 @@ mod tests {
                     feeder.push(i);
                 }
             },
-            |_, (), payload| payload,
+            |_, (), payload| JobVerdict::Done(payload),
         );
         let seen: BTreeSet<usize> = run.completed.iter().map(|c| c.result).collect();
         assert_eq!(seen.len(), 100);
@@ -944,7 +737,7 @@ mod tests {
                 payload: 0usize,
                 hint: Some(2),
             }],
-            |_, (), payload| payload,
+            |_, (), payload| JobVerdict::Done(payload),
         );
     }
 
@@ -958,25 +751,12 @@ mod tests {
     }
 
     #[test]
-    fn tolerant_run_with_no_faults_matches_plain_stealing() {
-        let run = run_stealing_tolerant(vec![(); 3], floaters(60), |_, (), payload| {
-            JobVerdict::<usize, usize>::Done(payload)
-        });
-        let seen: BTreeSet<usize> = run.completed.iter().map(|c| c.result).collect();
-        assert_eq!(seen, (0..60).collect());
-        assert_eq!(run.retries, 0);
-        assert_eq!(run.requeued_on_death, 0);
-        assert!(run.unfinished.is_empty());
-        assert_eq!(run.alive_workers(), 3);
-    }
-
-    #[test]
     fn retries_conserve_jobs_and_are_counted() {
         // Every job fails once before succeeding; payloads carry a retry
         // budget the executor burns down, like a real retry ledger.
         use std::sync::atomic::AtomicUsize;
         let attempts: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(0)).collect();
-        let run = run_stealing_tolerant(vec![(); 4], floaters(40), |_, (), payload: usize| {
+        let run = run_stealing(vec![(); 4], floaters(40), |_, (), payload: usize| {
             if attempts[payload].fetch_add(1, Ordering::SeqCst) == 0 {
                 JobVerdict::Retry(payload)
             } else {
@@ -1004,7 +784,7 @@ mod tests {
             })
             .collect();
         let first_jobs = std::sync::Barrier::new(3);
-        let run = run_stealing_tolerant(
+        let run = run_stealing(
             vec![false; 3],
             jobs,
             |worker, started: &mut bool, payload: usize| {
@@ -1029,7 +809,7 @@ mod tests {
 
     #[test]
     fn an_all_dead_pool_hands_every_job_back_unfinished() {
-        let run = run_stealing_tolerant(vec![(); 3], floaters(25), |_, (), payload: usize| {
+        let run = run_stealing(vec![(); 3], floaters(25), |_, (), payload: usize| {
             JobVerdict::<usize, usize>::Fatal(payload)
         });
         assert!(run.completed.is_empty());
@@ -1041,8 +821,8 @@ mod tests {
     }
 
     #[test]
-    fn tolerant_feeder_pushes_race_no_jobs_into_the_void() {
-        let run = run_stealing_tolerant_with_feeder(
+    fn feeder_pushes_racing_retries_lose_no_jobs() {
+        let run = run_stealing_with_feeder(
             vec![(); 4],
             floaters(10),
             |feeder| {

@@ -14,11 +14,9 @@
 //! * [`Server::serve_stream`] — the synchronous reference host.  Each
 //!   admitted job executes inline on the device it was priced for, the
 //!   device's backlog advances by the job's *actual* modelled makespan (the
-//!   same figure the worker ledger would charge), and every
-//!   prediction/actual pair feeds the whole-session slot of a
-//!   [`StageDriftCorrector`] so later admissions are re-priced by measured
-//!   drift (per-stage slots carry upload/compute/download drift for the
-//!   fault-tolerant hosts' timeout budgets).  Fully deterministic.
+//!   same figure the worker ledger would charge), and every session's
+//!   prediction/actual pair feeds a [`DriftCorrector`] so later admissions
+//!   are re-priced by measured drift.  Fully deterministic.
 //! * [`Server::serve_stream_async`] — the streaming work-stealing host.
 //!   Admission runs first in virtual time against *drift-corrected
 //!   predicted* backlog (all a causal host can know at admission time),
@@ -44,8 +42,8 @@ use crate::autoscaler::{Autoscaler, ScaleEvent};
 use crate::queue::BatchJob;
 use crate::request::{ProblemSpec, ServeRequest};
 use crate::server::Server;
-use crate::steal::run_stealing_with_feeder;
-use perf_model::{arrival_times, StageDriftCorrector, WorkloadKind};
+use crate::steal::{run_stealing_with_feeder, JobVerdict};
+use perf_model::{arrival_times, DriftCorrector, WorkloadKind};
 use sem_accel::SemSystem;
 use sem_mesh::ElementField;
 use sem_obs::recorder;
@@ -516,7 +514,7 @@ impl Server {
             .as_ref()
             .map_or_else(|| vec![true; pool], |s| s.active_mask().to_vec());
         let mut free_at = vec![0.0_f64; pool];
-        let mut corrector = StageDriftCorrector::new();
+        let mut corrector = DriftCorrector::new();
         let mut tracker = WindowTracker::new(live.window_seconds);
         let mut outcomes: Vec<LiveOutcome> = Vec::new();
         let mut rejections: Vec<LiveRejection> = Vec::new();
@@ -540,15 +538,13 @@ impl Server {
                 .iter()
                 .map(|&device| (device, self.predict_job_seconds(device, &job)))
                 .min_by(|a, b| {
-                    let ca =
-                        free_at[a.0].max(arrival_seconds) + corrector.corrected("session", a.1);
-                    let cb =
-                        free_at[b.0].max(arrival_seconds) + corrector.corrected("session", b.1);
+                    let ca = free_at[a.0].max(arrival_seconds) + corrector.corrected(a.1);
+                    let cb = free_at[b.0].max(arrival_seconds) + corrector.corrected(b.1);
                     ca.total_cmp(&cb).then(a.0.cmp(&b.0))
                 })
                 .expect("active pool is never empty");
             let started = free_at[best].max(arrival_seconds);
-            let predicted_completion = started + corrector.corrected("session", raw_predicted);
+            let predicted_completion = started + corrector.corrected(raw_predicted);
             let predicted_latency = predicted_completion - arrival_seconds;
 
             if predicted_latency <= live.deadline_seconds {
@@ -573,7 +569,7 @@ impl Server {
                     let (timeline, outs, _modeled) =
                         self.execute_job_on(self.system(best, job.spec), best, &job, &requests);
                     let actual = timeline.makespan_seconds;
-                    corrector.record("session", raw_predicted, actual);
+                    corrector.record(raw_predicted, actual);
                     let completed = started + actual;
                     free_at[best] = completed;
                     for outcome in outs {
@@ -644,7 +640,7 @@ impl Server {
             active_trace: tracker.active_trace,
             scale_events: scaler.map(|s| s.events().to_vec()).unwrap_or_default(),
             window_seconds: live.window_seconds,
-            drift_correction: corrector.correction("session"),
+            drift_correction: corrector.correction(),
             asynchronous,
         }
     }
@@ -690,8 +686,12 @@ impl Server {
                 });
                 let (_timeline, outs, _modeled) =
                     self.execute_job_on(system, worker, &job, requests);
-                (plan_index, outs)
+                JobVerdict::Done((plan_index, outs))
             },
+        );
+        assert!(
+            !run.died.contains(&true) && run.unfinished.is_empty(),
+            "a Done-only run neither loses workers nor leaves jobs unfinished"
         );
         for (slot, ledger) in self.systems.iter_mut().zip(run.workers) {
             *slot = ledger.state;

@@ -1,12 +1,8 @@
-//! Schedule-exploration smoke battery: drives `run_stealing` through
-//! bounded interleavings via the crossbeam schedule hook and asserts the
-//! host's contract on every schedule.
-//!
-//! Lives in its own integration-test binary on purpose: the schedule hook
-//! is process-global, so exploration must not share a process with other
-//! tests that call `run_stealing` concurrently.  `SEM_SCHED_ITERS` caps the
-//! schedule budget (CI smoke uses a small value; the stress job a larger
-//! one).
+//! Schedule-exploration smoke battery: drives the work-stealing core
+//! through bounded interleavings via the crossbeam schedule hook and
+//! asserts the host's contract on every schedule.  `SEM_SCHED_ITERS` caps
+//! the schedule budget (CI smoke uses a small value; the stress job a
+//! larger one).
 
 use sem_serve::{explore_case, standard_battery, ExploreCase, Strategy};
 
@@ -47,7 +43,7 @@ fn standard_battery_upholds_the_contract_on_every_schedule() {
         total += report.schedules;
     }
     // Ten cases (feeder cases walk seeded, the rest depth-first; three
-    // carry fault schedules through the tolerant host): the battery covers
+    // carry fault schedules): the battery covers
     // a healthy slice of the interleaving space even under the CI smoke
     // budget.
     assert!(
